@@ -6,18 +6,33 @@ Faces are the sets F(I,J,K) = {(x,y) : x in I, y in J, x+y in K} for I, J, K
 one-dimensional faces of the breakpoint interval complex; Δπ restricted to
 the relative interior of any face is affine, which is what every test in the
 package leans on.
+
+Every vertex of the complex lies in (1/q)Z², where q = fn.denominator_lcm()
+is the lcm of the denominators of f and the breakpoints: a vertex is where
+two lines of distinct families meet, and x = b, y = b′ and x + y = b″ with
+b, b′, b″ in (1/q)Z meet only at points of (1/q)Z².  So the kernel scales
+every breakpoint by q and runs in integers.  Clipping a rectangle against
+x + y = c lands on integers, so the one division of the clip is exact (and
+asserted to be).  Fractions are built only for the faces and vertices handed
+back to the caller; dividing by q > 0 keeps every order the kernel sorts by.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from math import lcm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
 Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction]
+# Scaled by q: coordinates are integers.
+IntPoint = Tuple[int, int]
+IntInterval = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -54,43 +69,89 @@ class DeltaFace:
         )
 
 
-def _interval_faces(bkpts: Sequence[Fraction]) -> List[Interval]:
-    """Points and closed intervals of the breakpoint complex on [0,1]."""
-    faces = [(b, b) for b in bkpts]
-    ext = list(bkpts) + [Fraction(1)]
-    faces += [(a, b) for a, b in zip(ext, ext[1:])]
-    return faces
+# -- integer-scaled kernel -----------------------------------------------------
 
 
-def _sum_faces(bkpts: Sequence[Fraction]) -> List[Interval]:
-    """Faces of the complex translated to cover [0,2] for the x+y family."""
+def _scale(x: Fraction, q: int) -> int:
+    """q * x for x in (1/q)Z, in integer arithmetic."""
+    return x.numerator * (q // x.denominator)
+
+
+def _scaled_breakpoints(fn: PwlPeriodic) -> Tuple[int, List[int]]:
+    """q and the breakpoints scaled by q: sorted integers in [0, q)."""
+    q = fn.denominator_lcm()
+    return q, [_scale(b, q) for b in fn.breakpoints]
+
+
+def _unscaler(q: int) -> Callable[[IntPoint], Point]:
+    """(a, b) -> (a/q, b/q) for points and intervals alike, memoized so that
+    equal pairs share one tuple of shared Fractions."""
+    coords: Dict[int, Fraction] = {}
+    pairs: Dict[IntPoint, Point] = {}
+
+    def coord(x: int) -> Fraction:
+        r = coords.get(x)
+        if r is None:
+            r = coords[x] = Fraction(x, q)
+        return r
+
+    def unscale(pair: IntPoint) -> Point:
+        r = pairs.get(pair)
+        if r is None:
+            r = pairs[pair] = (coord(pair[0]), coord(pair[1]))
+        return r
+
+    return unscale
+
+
+def _interval_faces(pts: Sequence[int], q: int) -> List[IntInterval]:
+    """Points and closed intervals of the breakpoint complex on [0, q]."""
+    ext = list(pts) + [q]
+    return [(b, b) for b in pts] + list(zip(ext, ext[1:]))
+
+
+def _sum_ends(pts: Sequence[int], q: int) -> List[int]:
+    """Vertices of the complex translated to cover [0, 2q] for x + y."""
+    return sorted({b + t for b in pts for t in (0, q)} | {2 * q})
+
+
+def _sum_faces(ends: Sequence[int]) -> List[IntInterval]:
+    """Points and intervals over the sorted ends, sorted by (lo, hi).
+
+    Both lo and hi are nondecreasing along the list.
+    """
     out = []
-    for t in (0, 1):
-        for lo, hi in _interval_faces(bkpts):
-            out.append((lo + t, hi + t))
-    out.append((Fraction(2), Fraction(2)))
-    return sorted(set(out))
+    for a, b in zip(ends, ends[1:]):
+        out += [(a, a), (a, b)]
+    out.append((ends[-1], ends[-1]))
+    return out
 
 
-def _clip(poly: List[Point], a: int, b: int, c: Fraction) -> List[Point]:
-    """Clip a convex ring against a*x + b*y <= c (exact)."""
+def _clip(poly: List[IntPoint], s: int, c: int) -> List[IntPoint]:
+    """Clip a convex ring against s*(x + y) <= c for s = ±1 (exact).
+
+    A diagonal edge is parallel to the line and never crosses it, so a
+    crossing edge is axis-parallel and meets the line at an integer point.
+    """
     if not poly:
         return []
     if len(poly) == 1:
         x, y = poly[0]
-        return poly if a * x + b * y <= c else []
-    out: List[Point] = []
+        return poly if s * (x + y) <= c else []
+    out: List[IntPoint] = []
     n = len(poly)
     for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
+        p, r = poly[i], poly[(i + 1) % n]
+        fp = s * (p[0] + p[1]) - c
+        fr = s * (r[0] + r[1]) - c
         if fp <= 0:
             out.append(p)
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    dedup: List[Point] = []
+        if (fp < 0 < fr) or (fr < 0 < fp):
+            dx, rx = divmod(fp * (r[0] - p[0]), fp - fr)
+            dy, ry = divmod(fp * (r[1] - p[1]), fp - fr)
+            assert rx == ry == 0, "clip point off the (1/q)Z^2 grid"
+            out.append((p[0] + dx, p[1] + dy))
+    dedup: List[IntPoint] = []
     for p in out:
         if not dedup or dedup[-1] != p:
             dedup.append(p)
@@ -99,67 +160,135 @@ def _clip(poly: List[Point], a: int, b: int, c: Fraction) -> List[Point]:
     return dedup
 
 
-def _face_polygon(ix: Interval, iy: Interval, iz: Interval) -> List[Point]:
-    ring: List[Point] = [
-        (ix[0], iy[0]),
-        (ix[1], iy[0]),
-        (ix[1], iy[1]),
-        (ix[0], iy[1]),
-    ]
-    ring = [p for i, p in enumerate(ring) if p not in ring[:i]]
-    ring = _clip(ring, 1, 1, iz[1])
-    ring = _clip(ring, -1, -1, -iz[0])
-    return ring
+def _rectangle(ix: IntInterval, iy: IntInterval) -> List[IntPoint]:
+    ring = [(ix[0], iy[0]), (ix[1], iy[0]), (ix[1], iy[1]), (ix[0], iy[1])]
+    return [p for i, p in enumerate(ring) if p not in ring[:i]]
 
 
-def _collinear(pts: Sequence[Point]) -> bool:
-    if len(pts) < 3:
-        return True
-    (x0, y0), (x1, y1) = pts[0], pts[1]
-    return all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in pts[2:])
+def _clip_sum(ring: List[IntPoint], iz: IntInterval) -> List[IntPoint]:
+    """The part of a ring with x + y in iz, in counter-clockwise order."""
+    return _clip(_clip(ring, 1, iz[1]), -1, -iz[0])
 
 
-def _make_face(ix: Interval, iy: Interval, iz: Interval) -> DeltaFace | None:
-    ring = _face_polygon(ix, iy, iz)
-    if not ring:
-        return None
+def _shape(ring: List[IntPoint]) -> Tuple[int, Tuple[IntPoint, ...]]:
+    """(dim, vertex tuple) of a nonempty ring: sorted corners, or the two
+    endpoints of a segment."""
     unique = sorted(set(ring))
     if len(unique) == 1:
-        dim = 0
-    elif _collinear(unique):
-        dim = 1
-        unique = [unique[0], unique[-1]]
-        if unique[0] == unique[1]:
-            unique = unique[:1]
-            dim = 0
-    else:
-        dim = 2
-    return DeltaFace(dim, ix, iy, iz, tuple(unique))
+        return 0, tuple(unique)
+    (x0, y0), (x1, y1) = unique[0], unique[1]
+    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in unique[2:]):
+        return 1, (unique[0], unique[-1])
+    return 2, tuple(unique)
+
+
+def _to_face(
+    dim: int,
+    ix: IntInterval,
+    iy: IntInterval,
+    iz: IntInterval,
+    verts: Sequence[IntPoint],
+    u: Callable[[IntPoint], Point],
+) -> DeltaFace:
+    return DeltaFace(dim, u(ix), u(iy), u(iz), tuple(u(v) for v in verts))
+
+
+def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
+    """All distinct faces of the complex, sorted by (dim, vertex list).
+
+    Triples (I, J, K) are visited with I and J in breakpoint-complex order
+    (points first, then intervals) and K in sorted order; a face is kept
+    with the first triple that produces its vertex set.  For each (I, J)
+    cell only the K faces that meet [min I + min J, max I + max J] are
+    visited: both ends of the K faces increase along the sorted list, so
+    those faces form one slice, found by bisection.
+    """
+    q, pts = _scaled_breakpoints(fn)
+    faces_xy = _interval_faces(pts, q)
+    faces_z = _sum_faces(_sum_ends(pts, q))
+    z_lo = [lo for lo, _ in faces_z]
+    z_hi = [hi for _, hi in faces_z]
+    seen: Dict[Tuple[IntPoint, ...], Tuple] = {}
+    for ix in faces_xy:
+        for iy in faces_xy:
+            rect = _rectangle(ix, iy)
+            first = bisect_left(z_hi, ix[0] + iy[0])
+            last = bisect_right(z_lo, ix[1] + iy[1])
+            for iz in faces_z[first:last]:
+                ring = _clip_sum(rect, iz)
+                if not ring:
+                    continue
+                dim, verts = _shape(ring)
+                if verts not in seen:
+                    seen[verts] = (dim, ix, iy, iz)
+    u = _unscaler(q)
+    order = sorted(seen, key=lambda verts: (seen[verts][0], verts))
+    return [_to_face(*seen[verts], verts, u) for verts in order]
 
 
 def face_ring(face: DeltaFace) -> List[Point]:
     """Vertices of the face in counter-clockwise ring order (for drawing)."""
-    return _face_polygon(face.interval_x, face.interval_y, face.interval_z)
+    ends = face.interval_x + face.interval_y + face.interval_z
+    q = lcm(*(e.denominator for e in ends))
+    x0, x1, y0, y1, z0, z1 = (_scale(e, q) for e in ends)
+    ring = _clip_sum(_rectangle((x0, x1), (y0, y1)), (z0, z1))
+    return [(Fraction(x, q), Fraction(y, q)) for x, y in ring]
 
 
-def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
-    """All distinct faces of the complex, sorted by (dim, vertex list)."""
-    bkpts = fn.breakpoints
-    faces_xy = _interval_faces(bkpts)
-    faces_z = _sum_faces(bkpts)
-    seen = {}
-    for ix in faces_xy:
-        for iy in faces_xy:
-            s_lo, s_hi = ix[0] + iy[0], ix[1] + iy[1]
-            for iz in faces_z:
-                if iz[1] < s_lo or iz[0] > s_hi:
-                    continue
-                face = _make_face(ix, iy, iz)
-                if face is None:
-                    continue
-                if face.vertices not in seen:
-                    seen[face.vertices] = face
-    return sorted(seen.values(), key=lambda f: (f.dim, f.vertices))
+def _smallest_face(
+    ends: Sequence[int], last_is_point: bool, lo: int, hi: int
+) -> Optional[IntInterval]:
+    """Smallest face of the 1-D complex on the sorted ``ends`` containing
+    [lo, hi]; every end but possibly the last is a 0-face."""
+    if lo < ends[0] or hi > ends[-1]:
+        return None
+    i = bisect_right(ends, lo) - 1
+    if lo == hi == ends[i] and (i < len(ends) - 1 or last_is_point):
+        return (lo, lo)
+    i = min(i, len(ends) - 2)
+    if hi > ends[i + 1]:
+        return None
+    return (ends[i], ends[i + 1])
+
+
+def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
+    """The face of the complex with exactly this vertex tuple, or None.
+
+    Built directly instead of searched for.  If P = I×J ∩ {x+y ∈ K} is a
+    face and I′ is an elementary face with proj_x(P) ⊆ I′ ⊆ I, then
+    P ⊆ I′×J ∩ {x+y ∈ K} ⊆ P, so shrinking I to I′ leaves P unchanged; the
+    same holds for J and K.  Hence P is cut out by the smallest elementary
+    faces I0, J0, K0 containing its projections, which the vertices give,
+    and F(I0, J0, K0) is the only candidate.  The triple returned may be
+    smaller than the representative that ``enumerate_faces`` keeps for the
+    same vertex set; the vertices, and so every limit of Δπ along the face,
+    are the same.
+    """
+    target = tuple(vertices)
+    if not target:
+        return None
+    q, pts = _scaled_breakpoints(fn)
+    scaled = []
+    for x, y in target:
+        if q % x.denominator or q % y.denominator:
+            return None
+        scaled.append((_scale(x, q), _scale(y, q)))
+    xs = [x for x, _ in scaled]
+    ys = [y for _, y in scaled]
+    zs = [x + y for x, y in scaled]
+    xy_ends = pts + [q]
+    ix = _smallest_face(xy_ends, False, min(xs), max(xs))
+    iy = _smallest_face(xy_ends, False, min(ys), max(ys))
+    iz = _smallest_face(_sum_ends(pts, q), True, min(zs), max(zs))
+    if ix is None or iy is None or iz is None:
+        return None
+    ring = _clip_sum(_rectangle(ix, iy), iz)
+    if not ring:
+        return None
+    dim, verts = _shape(ring)
+    if verts != tuple(scaled):
+        return None
+    return _to_face(dim, ix, iy, iz, verts, _unscaler(q))
 
 
 def delta_vertices(fn: PwlPeriodic) -> List[Point]:
@@ -168,23 +297,20 @@ def delta_vertices(fn: PwlPeriodic) -> List[Point]:
     Every vertex is the intersection of two lines from distinct families, so
     at least two of x, y, x+y (mod 1) land on breakpoints.
     """
-    bkpts = fn.breakpoints
-    zs = sorted({b + t for b in bkpts for t in (0, 1)})
-    verts = set()
-    for bx in bkpts:
-        for by in bkpts:
-            verts.add((bx, by))
-    for bx in bkpts:
-        for z in zs:
-            y = z - bx
-            if 0 <= y < 1:
-                verts.add((bx, y))
-    for by in bkpts:
-        for z in zs:
-            x = z - by
-            if 0 <= x < 1:
-                verts.add((x, by))
-    return sorted(verts)
+    q, pts = _scaled_breakpoints(fn)
+    verts = {(bx, by) for bx in pts for by in pts}
+    sums = _sum_ends(pts, q)
+    for b in pts:
+        for z in sums:
+            c = z - b
+            if 0 <= c < q:
+                verts.add((b, c))
+                verts.add((c, b))
+    u = _unscaler(q)
+    return [u(v) for v in sorted(verts)]
+
+
+# -- Δπ and additivity ---------------------------------------------------------
 
 
 def delta_pi(fn: PwlPeriodic, x, y) -> Fraction:
@@ -239,10 +365,9 @@ def _relint_sample(fn: PwlPeriodic, face: DeltaFace) -> Point | None:
     return None
 
 
-def is_additive_face(fn: PwlPeriodic, face: DeltaFace) -> bool:
-    """Whether Δπ vanishes on the relative interior of the face."""
-    if fn.is_continuous():
-        return all(delta_pi(fn, *v) == 0 for v in face.vertices)
+def _is_additive_with_limits(fn: PwlPeriodic, face: DeltaFace) -> bool:
+    """Whether Δπ vanishes on the relative interior of a face of a function
+    with jumps: every limit along the face, and one interior sample."""
     if any(delta_pi_limit(fn, face, v) != 0 for v in face.vertices):
         return False
     sample = _relint_sample(fn, face)
@@ -252,12 +377,40 @@ def is_additive_face(fn: PwlPeriodic, face: DeltaFace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
-    additive_faces: Tuple[DeltaFace, ...]
-    maximal_faces: Tuple[DeltaFace, ...]
-    symmetry_faces: Tuple[DeltaFace, ...]
-    covered_intervals: Tuple[Interval, ...]
+def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[DeltaFace]:
+    """The faces (of ``enumerate_faces(fn)``) on whose relative interior Δπ
+    vanishes, in their given order.
+
+    For a continuous function Δπ is affine on each face, so it vanishes on
+    the face exactly when it vanishes at the vertices.  Vertices are read on
+    the (1/q)Z² grid, fn is evaluated once per distinct scaled coordinate
+    and Δπ once per distinct vertex, so the cost follows the number of
+    vertices, not q.
+    """
+    if not fn.is_continuous():
+        return [face for face in faces if _is_additive_with_limits(fn, face)]
+    q = fn.denominator_lcm()
+    values: Dict[int, Fraction] = {}
+    zero: Dict[IntPoint, bool] = {}
+
+    def value(t: int) -> Fraction:
+        t %= q
+        v = values.get(t)
+        if v is None:
+            v = values[t] = fn(Fraction(t, q))
+        return v
+
+    def additive_at(x: int, y: int) -> bool:
+        z = zero.get((x, y))
+        if z is None:
+            z = zero[(x, y)] = value(x) + value(y) == value(x + y)
+        return z
+
+    return [
+        face
+        for face in faces
+        if all(additive_at(_scale(x, q), _scale(y, q)) for x, y in face.vertices)
+    ]
 
 
 def _merge_intervals(intervals: List[Interval]) -> Tuple[Interval, ...]:
@@ -279,37 +432,60 @@ def _reduce_mod_1(lo: Fraction, hi: Fraction) -> List[Interval]:
     return [(lo, Fraction(1)), (Fraction(0), hi - 1)]
 
 
+@dataclass(frozen=True)
+class AdditivityReport:
+    """Additive faces and covered intervals of a function's complex.
+
+    ``maximal_faces`` and ``symmetry_faces`` are computed on first access:
+    the extremality test reads neither.
+    """
+
+    additive_faces: Tuple[DeltaFace, ...]
+    covered_intervals: Tuple[Interval, ...]
+    f: Fraction
+
+    @cached_property
+    def maximal_faces(self) -> Tuple[DeltaFace, ...]:
+        """Additive faces contained in no other additive face."""
+        additive = self.additive_faces
+        maximal = []
+        for f in additive:
+            is_max = True
+            for g in additive:
+                if g is f or g.dim < f.dim:
+                    continue
+                if g.vertices != f.vertices and all(g.contains(v) for v in f.vertices):
+                    is_max = False
+                    break
+            if is_max:
+                maximal.append(f)
+        return tuple(maximal)
+
+    @cached_property
+    def symmetry_faces(self) -> Tuple[DeltaFace, ...]:
+        """Additive faces lying on the line x + y = f (mod 1)."""
+        targets = (self.f, self.f + 1)
+        return tuple(
+            face
+            for face in self.additive_faces
+            if all(v[0] + v[1] in targets for v in face.vertices)
+        )
+
+
 def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
     """Classify the additive part of the complex and the covered intervals."""
-    faces = enumerate_faces(fn)
-    additive = [f for f in faces if is_additive_face(fn, f)]
-    maximal = []
-    for f in additive:
-        is_max = True
-        for g in additive:
-            if g is f or g.dim < f.dim:
-                continue
-            if g.vertices != f.vertices and all(g.contains(v) for v in f.vertices):
-                is_max = False
-                break
-        if is_max:
-            maximal.append(f)
-    sym_targets = (fn.f, fn.f + 1)
-    symmetry = [
-        f for f in additive if all(v[0] + v[1] in sym_targets for v in f.vertices)
-    ]
+    additive = classify_additive(fn, enumerate_faces(fn))
     covered: List[Interval] = []
-    for f in additive:
-        if f.dim != 2:
+    for face in additive:
+        if face.dim != 2:
             continue
-        covered.append(f.p1)
-        covered.append(f.p2)
-        covered.extend(_reduce_mod_1(*f.p3))
+        covered.append(face.p1)
+        covered.append(face.p2)
+        covered.extend(_reduce_mod_1(*face.p3))
     return AdditivityReport(
         additive_faces=tuple(additive),
-        maximal_faces=tuple(maximal),
-        symmetry_faces=tuple(symmetry),
         covered_intervals=_merge_intervals(covered),
+        f=fn.f,
     )
 
 

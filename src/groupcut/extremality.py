@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from .complex2d import DeltaFace, additivity_report
 from .minimality import minimality_test, with_f_breakpoint
 from .pwl import PwlPeriodic, affine_combine, pwl_from_values
-from .rational import RatMatrix, rref
 from .solver import Run, perturbation_space
 
 
@@ -145,7 +144,10 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     ib = [int(x * db) for x in b]
     if all(x == 0 for x in ib):
         raise ValueError("perturbation is identically zero")
-    best: Optional[Fraction] = None
+    # The ratio at a pair is (slack/dv) / (|dbar|/db); the running minimum
+    # is kept as the integer pair (best_s, best_d) and compared by cross
+    # products, since the common factor db/dv > 0 does not change the order.
+    best_s, best_d = 0, 0
     for i in range(n):
         vi, bi = iv[i], ib[i]
         for j in range(i, n):
@@ -157,12 +159,12 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
                 raise ValueError(
                     "perturbation is non-additive at a tight pair of the function"
                 )
-            ratio = Fraction(slack, dv) / Fraction(abs(dbar), db)
-            if best is None or ratio < best:
-                best = ratio
-    if best is None:
+            dbar = abs(dbar)
+            if best_d == 0 or slack * best_d < best_s * dbar:
+                best_s, best_d = slack, dbar
+    if best_d == 0:
         raise ValueError("perturbation has no non-additive pair; ratio is unbounded")
-    return best
+    return Fraction(best_s * db, dv * best_d)
 
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:
@@ -180,8 +182,8 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
             basis_dimension=0,
             covered_intervals=report.covered_intervals,
         )
-    reduced, _ = rref(RatMatrix(basis))
-    bar = interpolate_perturbation(reduced[0], n, fn_b.f)
+    # perturbation_space returns its basis in reduced row echelon form.
+    bar = interpolate_perturbation(basis[0], n, fn_b.f)
     eps = epsilon_ratio_test(fn_b, bar)
     for _ in range(64):
         pi_plus = affine_combine(1, fn_b, eps, bar)

@@ -15,11 +15,11 @@ from math import lcm
 from typing import Optional, Tuple, Union
 
 from .complex2d import (
-    DeltaFace,
     delta_pi,
     delta_pi_limit,
     delta_vertices,
     enumerate_faces,
+    find_face,
 )
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
@@ -67,8 +67,7 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     negativity, symmetry, subadditivity; within each kind, locations are
     scanned in ascending order, so the verdict is deterministic.
     """
-    fn = with_f_breakpoint(fn).canonicalize()
-    fn = with_f_breakpoint(fn)
+    fn = with_f_breakpoint(fn.canonicalize())
 
     if fn(0) != 0:
         return MinimalityVerdict(False, MinimalityWitness(ORIGIN_VALUE, Fraction(0), fn(0)))
@@ -146,23 +145,16 @@ def verify_witness(fn: PwlPeriodic, witness: MinimalityWitness) -> bool:
                 return False
             if witness.face_vertices is None:
                 return delta_pi(fn, u, v) == witness.value != 0
-            face = _find_face(fn, witness.face_vertices)
+            face = find_face(fn, witness.face_vertices)
             return face is not None and delta_pi_limit(fn, face, (u, v)) == witness.value != 0
         return fn(witness.location) == witness.value != 1
     if witness.kind == SUBADDITIVITY:
         u, v = witness.location
         if witness.face_vertices is None:
             return delta_pi(fn, u, v) == witness.value < 0
-        face = _find_face(fn, witness.face_vertices)
+        face = find_face(fn, witness.face_vertices)
         return face is not None and delta_pi_limit(fn, face, (u, v)) == witness.value < 0
     return False
-
-
-def _find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
-    for face in enumerate_faces(fn):
-        if face.vertices == tuple(vertices):
-            return face
-    return None
 
 
 def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdict:

@@ -11,7 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .complex2d import delta_pi, delta_pi_limit, delta_vertices, enumerate_faces, face_ring, is_additive_face
+from .complex2d import (
+    classify_additive,
+    delta_pi,
+    delta_pi_limit,
+    delta_vertices,
+    enumerate_faces,
+    face_ring,
+)
 from .minimality import with_f_breakpoint
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
@@ -131,7 +138,7 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
 
     svg = _Svg(size, size)
     faces = enumerate_faces(fn)
-    additive = [f for f in faces if is_additive_face(fn, f)]
+    additive = classify_additive(fn, faces)
 
     # Complex grid lines.
     for b in fn.breakpoints:
