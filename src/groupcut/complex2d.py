@@ -310,6 +310,37 @@ def delta_vertices(fn: PwlPeriodic) -> List[Point]:
     return [u(v) for v in sorted(verts)]
 
 
+def _scaled_values(fn: PwlPeriodic, q: int) -> Callable[[int], Fraction]:
+    """t -> fn(t/q), evaluated once per residue of t mod q."""
+    values: Dict[int, Fraction] = {}
+
+    def value(t: int) -> Fraction:
+        t %= q
+        v = values.get(t)
+        if v is None:
+            v = values[t] = fn(Fraction(t, q))
+        return v
+
+    return value
+
+
+def vertex_slacks(fn: PwlPeriodic) -> List[Tuple[Point, bool, Fraction]]:
+    """The vertices of ``delta_vertices(fn)`` in its order, each with whether
+    it lies on the symmetry line x + y = f (mod 1) and with Δπ there.
+
+    The value of Δπ is ``delta_pi`` at the vertex, but fn is evaluated once
+    per distinct scaled coordinate, not three times per vertex.
+    """
+    q = fn.denominator_lcm()
+    value = _scaled_values(fn, q)
+    f = _scale(fn.f, q)
+    out = []
+    for vert in delta_vertices(fn):
+        x, y = _scale(vert[0], q), _scale(vert[1], q)
+        out.append((vert, (x + y - f) % q == 0, value(x) + value(y) - value(x + y)))
+    return out
+
+
 # -- Δπ and additivity ---------------------------------------------------------
 
 
@@ -390,15 +421,8 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
     if not fn.is_continuous():
         return [face for face in faces if _is_additive_with_limits(fn, face)]
     q = fn.denominator_lcm()
-    values: Dict[int, Fraction] = {}
+    value = _scaled_values(fn, q)
     zero: Dict[IntPoint, bool] = {}
-
-    def value(t: int) -> Fraction:
-        t %= q
-        v = values.get(t)
-        if v is None:
-            v = values[t] = fn(Fraction(t, q))
-        return v
 
     def additive_at(x: int, y: int) -> bool:
         z = zero.get((x, y))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import DeltaFace, additivity_report
@@ -52,31 +52,35 @@ def _additive_face_runs(faces: Sequence[DeltaFace], n: int) -> List[Run]:
     """Unit-step runs covering every grid pair inside the additive faces.
 
     Face vertices lie on (1/q)Z and q | n, so all scaled coordinates are
-    integers and two-dimensional faces decompose exactly into grid rows.
+    integers and two-dimensional faces decompose exactly into grid rows;
+    the rows are computed in integer arithmetic.
     """
+
+    def at(x: Fraction) -> int:
+        return x.numerator * (n // x.denominator)
+
     runs: List[Run] = []
     for face in faces:
         if face.dim == 0:
             (x, y), = face.vertices
-            runs.append(("h", int(y * n), int(x * n), int(x * n)))
+            runs.append(("h", at(y), at(x), at(x)))
         elif face.dim == 1:
             (x0, y0), (x1, y1) = face.vertices
             if y0 == y1:
-                runs.append(("h", int(y0 * n), int(x0 * n), int(x1 * n)))
+                runs.append(("h", at(y0), at(x0), at(x1)))
             elif x0 == x1:
-                runs.append(("v", int(x0 * n), int(min(y0, y1) * n), int(max(y0, y1) * n)))
+                runs.append(("v", at(x0), at(min(y0, y1)), at(max(y0, y1))))
             else:
-                runs.append(("d", int((x0 + y0) * n), int(min(x0, x1) * n), int(max(x0, x1) * n)))
+                runs.append(("d", at(x0 + y0), at(min(x0, x1)), at(max(x0, x1))))
         else:
-            (ix0, ix1) = face.interval_x
-            (iy0, iy1) = face.interval_y
-            (iz0, iz1) = face.interval_z
-            for j in range(ceil(iy0 * n), floor(iy1 * n) + 1):
-                lo = max(ix0 * n, iz0 * n - j)
-                hi = min(ix1 * n, iz1 * n - j)
-                lo_i, hi_i = ceil(lo), floor(hi)
-                if lo_i <= hi_i:
-                    runs.append(("h", j, lo_i, hi_i))
+            x_lo, x_hi = map(at, face.interval_x)
+            y_lo, y_hi = map(at, face.interval_y)
+            z_lo, z_hi = map(at, face.interval_z)
+            for j in range(y_lo, y_hi + 1):
+                lo = max(x_lo, z_lo - j)
+                hi = min(x_hi, z_hi - j)
+                if lo <= hi:
+                    runs.append(("h", j, lo, hi))
     return sorted(set(runs))
 
 

@@ -21,6 +21,7 @@ from .minimality import (
     SYMMETRY,
     MinimalityVerdict,
     MinimalityWitness,
+    first_subadditivity_violation,
 )
 from .pwl import PwlPeriodic, pwl_from_values
 from .solver import perturbation_space
@@ -89,18 +90,17 @@ def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
                     SYMMETRY, (Fraction(i, q), Fraction(j, q)), Fraction(iv[i] + iv[j] - one, denom)
                 ),
             )
-    for i in range(q):
-        vi = iv[i]
-        for j in range(i, q):
-            if vi + iv[j] < iv[(i + j) % q]:
-                return MinimalityVerdict(
-                    False,
-                    MinimalityWitness(
-                        SUBADDITIVITY,
-                        (Fraction(i, q), Fraction(j, q)),
-                        Fraction(vi + iv[j] - iv[(i + j) % q], denom),
-                    ),
-                )
+    pair = first_subadditivity_violation(iv)
+    if pair is not None:
+        i, j = pair
+        return MinimalityVerdict(
+            False,
+            MinimalityWitness(
+                SUBADDITIVITY,
+                (Fraction(i, q), Fraction(j, q)),
+                Fraction(iv[i] + iv[j] - iv[(i + j) % q], denom),
+            ),
+        )
     return MinimalityVerdict(True)
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Tuple, Union
+from operator import sub
+from typing import Optional, Sequence, Tuple, Union
 
 from .complex2d import (
     delta_pi,
     delta_pi_limit,
-    delta_vertices,
     enumerate_faces,
     find_face,
+    vertex_slacks,
 )
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
@@ -81,15 +82,13 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
         return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, fn(fn.f)))
 
     continuous = fn.is_continuous()
-    vertices = delta_vertices(fn)
+    vertices = vertex_slacks(fn)
     faces = None if continuous else enumerate_faces(fn)
 
     # Symmetry: Δπ must vanish on the line x + y = f (mod 1).
-    for u, v in vertices:
-        if _on_symmetry_line(fn, u, v):
-            slack = delta_pi(fn, u, v)
-            if slack != 0:
-                return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, (u, v), slack))
+    for vert, on_line, slack in vertices:
+        if on_line and slack != 0:
+            return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, vert, slack))
     if not continuous:
         for face in faces:
             if face.dim != 1:
@@ -107,11 +106,10 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     # Subadditivity: Δπ >= 0 at every vertex, including one-sided limits
     # along every incident face when there are jumps.
     if continuous:
-        for u, v in vertices:
-            slack = delta_pi(fn, u, v)
+        for vert, _, slack in vertices:
             if slack < 0:
                 return MinimalityVerdict(
-                    False, MinimalityWitness(SUBADDITIVITY, (u, v), slack)
+                    False, MinimalityWitness(SUBADDITIVITY, vert, slack)
                 )
     else:
         for face in faces:
@@ -192,16 +190,34 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
                     Fraction(iv[i] + iv[j] - one, denom),
                 ),
             )
-    for i in range(n):
-        vi = iv[i]
-        for j in range(i, n):
-            if vi + iv[j] < iv[(i + j) % n]:
-                return MinimalityVerdict(
-                    False,
-                    MinimalityWitness(
-                        SUBADDITIVITY,
-                        (Fraction(i, n), Fraction(j, n)),
-                        Fraction(vi + iv[j] - iv[(i + j) % n], denom),
-                    ),
-                )
+    pair = first_subadditivity_violation(iv)
+    if pair is not None:
+        i, j = pair
+        return MinimalityVerdict(
+            False,
+            MinimalityWitness(
+                SUBADDITIVITY,
+                (Fraction(i, n), Fraction(j, n)),
+                Fraction(iv[i] + iv[j] - iv[(i + j) % n], denom),
+            ),
+        )
     return MinimalityVerdict(True)
+
+
+def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j), i <= j, in ascending order of i and then j,
+    with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.
+
+    Each row i is compared at once: iv[j] - iv[(i + j) mod n] for j >= i
+    against -iv[i], in list operations that run in C.
+    """
+    n = len(iv)
+    doubled = list(iv) * 2
+    for i in range(n):
+        start = 2 * i % n
+        diffs = list(map(sub, iv[i:], doubled[start:start + n - i]))
+        bound = -iv[i]
+        if min(diffs) < bound:
+            k = next(k for k, d in enumerate(diffs) if d < bound)
+            return i, i + k
+    return None

@@ -10,13 +10,60 @@ union-find over difference classes, leaving one anchor equation per run.
 The reduced system over the class variables is exactly equivalent to the
 original one (anchor plus telescoped differences reconstruct every equation
 of the run), and it is small enough for exact rational elimination.
+
+Difference classes follow the interval lemma.  On a 2-D additive face the
+perturbation is affine on the three projections, with one slope
+(Basu-Hildebrand-Köppe, *Equivariant perturbation in Gomory and Johnson's
+infinite group problem I*, arXiv:1206.2079; the covered components of the
+SageMath package cutgeneratingfunctionology rest on the same lemma).  On the
+grid, an ``h`` or ``v`` run of shift s relates g(i) ~ g(i + s) for i in
+[lo, hi), and a ``d`` run relates g(i) ~ g(c - 1 - i).  The face arrives as
+one run per grid row, with shifts s and s + 1 on neighbouring rows, so the
+lemma is recovered from the runs instead of being emitted:
+
+1. Where the i-ranges of shifts s and s + 1 overlap on [a, b), the chain
+   g(i + s) ~ g(i) ~ g(i + s + 1) links every step of a + s .. b + s to its
+   predecessor.  Links are made through skip pointers ("next step not yet
+   linked to its predecessor"), so all links together cost O(n α(n)).
+2. The i-ranges of each shift are merged first.  A run whose target steps
+   are already linked into one range links its source steps and makes one
+   union; so does a run whose source steps are.
+3. Only a run where neither range is linked unites step by step.
+
+*Partition identity.*  Let ~ be the equivalence generated by the runs'
+unit relations.  Every link of (1) is two relations of ~, and the links and
+the union of (2) follow from the run's relations and links made earlier, so
+nothing is united that ~ does not unite.  Conversely, after (2) each source
+step i is linked to lo, lo is united with its partner, and the partner is
+linked to the partner of i, so every relation of the run holds; (3) makes
+the relations themselves.  So the partition is that of ~.  Unions keep the
+smaller root, so each class is rooted at its first step and classes are
+numbered in order of first occurrence, which the partition alone fixes.
+
+*Basis in class space.*  A solution is a vector γ over the classes, lifted
+to e(t) = Σ_{s<t} γ(cls(s)).  Let E be the matrix whose rows are the lifted
+null-space vectors.  Column t + 1 of E minus column t is the column of class
+cls(t); unless t is the first step t_c of its class, that column already
+appears as column t_c + 1 minus column t_c, so column t + 1 lies in the span
+of the columns to its left and cannot be a pivot.  The pivot columns of E
+are thus among S = {t_c + 1}.  With Γ the matrix of the γ rows,
+E_S = Γ·P_S for P_S the unit triangular matrix of class counts up to each
+t_c, so E_S has full row rank (a class first met at step n - 1 has no
+column, but periodicity fixes its γ entry from the others), and
+rref([E_S | Γ]) = [T·E_S | T·Γ] with all pivots in the first block.  T·E is in reduced echelon form, because every
+column outside S is a combination of the columns to its left; the reduced
+echelon form of a row space is unique, so the lift of T·Γ is rref(E) entry
+for entry, and no elimination ever runs over a length-n row.  Scaling the
+γ rows to integers first changes neither the row space nor the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .complex2d import _merge_intervals
 from .rational import RatMatrix, nullspace, rref
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
@@ -26,8 +73,15 @@ Run = Tuple[str, int, int, int]
 
 
 class _UnionFind:
+    """Union-find over the n cyclic unit steps, with skip pointers over the
+    links t - 1 ~ t between neighbouring steps."""
+
     def __init__(self, n: int):
+        self.n = n
         self.parent = list(range(n))
+        # skip leads from t to the first step >= t not yet linked to its
+        # predecessor; n is the sentinel.
+        self.skip = list(range(n + 1))
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -45,6 +99,110 @@ class _UnionFind:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
+    def _unlinked(self, t: int) -> int:
+        skip = self.skip
+        root = t
+        while skip[root] != root:
+            root = skip[root]
+        while skip[t] != root:
+            skip[t], t = root, skip[t]
+        return root
+
+    def _pieces(self, a: int, b: int) -> List[Tuple[int, int]]:
+        """The links a+1 .. b (mod n) of the steps a .. b, as ranges [x, y)
+        inside [0, n)."""
+        n = self.n
+        if b - a >= n:
+            return [(0, n)]
+        x = (a + 1) % n
+        y = x + b - a
+        return [(x, y)] if y <= n else [(x, n), (0, y - n)]
+
+    def linked(self, a: int, b: int) -> bool:
+        """Whether the steps a .. b (mod n, a <= b) are linked into one range."""
+        return all(self._unlinked(x) >= y for x, y in self._pieces(a, b))
+
+    def link(self, a: int, b: int) -> None:
+        """Unite the steps a .. b (mod n, a <= b) through neighbour links."""
+        n = self.n
+        for x, y in self._pieces(a, b):
+            t = self._unlinked(x)
+            while t < y:
+                self.union((t - 1) % n, t)
+                self.skip[t] = t + 1
+                t = self._unlinked(t + 1)
+
+
+def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
+    """Class index of every unit step, classes numbered by first step."""
+    uf = _UnionFind(n)
+    # shifts[s]: ranges [lo, hi) of i with g(i) ~ g(i + s); touching ranges
+    # merge, since their relations then form one range.  mirrors: the d
+    # runs, as relations of (2) with g(i) ~ g(c - 1 - i).
+    shifts: Dict[int, Sequence[Tuple[int, int]]] = {0: [(0, n)]}
+    mirrors: List[Tuple[int, int, int, int]] = []
+    for kind, c, lo, hi in runs:
+        if lo >= hi:
+            continue
+        if kind == "d":
+            mirrors.append((lo, c - 1 - lo, -1, hi - lo))
+        else:
+            shifts.setdefault(c % n, []).append((lo, hi))
+    shifts = {s: _merge_intervals(ranges) for s, ranges in shifts.items()}
+
+    # (1) Neighbouring shifts over a common range link their targets.
+    for s, ranges in shifts.items():
+        other = shifts.get((s + 1) % n)
+        if other is None:
+            continue
+        i = j = 0
+        while i < len(ranges) and j < len(other):
+            a = max(ranges[i][0], other[j][0])
+            b = min(ranges[i][1], other[j][1])
+            if a < b:
+                uf.link(a + s, b + s)
+            if ranges[i][1] < other[j][1]:
+                i += 1
+            else:
+                j += 1
+
+    # (2) A linked source or target costs one union; (3) else unit steps.
+    # A relation (src, dst, sign, length) relates the steps src + k and
+    # dst + sign * k for k < length.
+    relations = [(a, a + s, 1, b - a) for s, ranges in shifts.items() if s for a, b in ranges]
+    for src, dst, sign, length in relations + mirrors:
+        last = length - 1
+        dst_lo = min(dst, dst + sign * last)
+        if uf.linked(dst_lo, dst_lo + last):
+            uf.link(src, src + last)
+        elif uf.linked(src, src + last):
+            uf.link(dst_lo, dst_lo + last)
+        else:
+            for k in range(length):
+                uf.union((src + k) % n, (dst + sign * k) % n)
+            continue
+        uf.union(src % n, dst % n)
+
+    roots = sorted({uf.find(t) for t in range(n)})
+    class_of_root = {r: idx for idx, r in enumerate(roots)}
+    return [class_of_root[uf.find(t)] for t in range(n)]
+
+
+def _integral(gamma: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(d, d * gamma) for the least d > 0 that makes d * gamma integral."""
+    den = lcm(*(x.denominator for x in gamma))
+    return den, [x.numerator * (den // x.denominator) for x in gamma]
+
+
+def _lift(gamma: Sequence[int], cls: Sequence[int]) -> List[int]:
+    """e(t) = sum of gamma over the classes of the steps before t, t <= n."""
+    e = [0]
+    acc = 0
+    for c in cls:
+        acc += gamma[c]
+        e.append(acc)
+    return e
+
 
 def perturbation_space(
     n: int,
@@ -56,34 +214,25 @@ def perturbation_space(
 
     All pair coordinates are grid indices in [0, n]; sums may reach 2n and
     are *not* reduced modulo n here — the periodicity row makes the wrapped
-    and unwrapped forms of each equation equivalent.
+    and unwrapped forms of each equation equivalent.  The basis is returned
+    in reduced row echelon form.
     """
-    uf = _UnionFind(n)
+    runs = list(runs)
     anchors: List[Tuple[int, int]] = []
-
     for kind, c, lo, hi in runs:
         if lo > hi:
             continue
         if kind == "h":
             anchors.append((lo, c))
-            for i in range(lo, hi):
-                uf.union(i % n, (i + c) % n)
         elif kind == "v":
             anchors.append((c, lo))
-            for j in range(lo, hi):
-                uf.union(j % n, (c + j) % n)
         elif kind == "d":
             anchors.append((lo, c - lo))
-            for i in range(lo, hi):
-                uf.union(i % n, (c - 1 - i) % n)
         else:
             raise ValueError(f"unknown run kind {kind!r}")
     anchors.extend(pairs)
-
-    roots = sorted({uf.find(t) for t in range(n)})
-    class_of_root = {r: idx for idx, r in enumerate(roots)}
-    cls = [class_of_root[uf.find(t)] for t in range(n)]
-    n_classes = len(roots)
+    cls = _difference_classes(n, runs)
+    n_classes = max(cls) + 1
 
     # Prefix class-count vectors A[k][c] = #{t < k : cls[t mod n] = c} are
     # only materialized at the indices the equations actually mention.
@@ -130,15 +279,24 @@ def perturbation_space(
         if len(pivot_cols) == n_classes:
             return []
 
-    gamma_basis = nullspace(RatMatrix(pivot_rows, n_cols=n_classes))
-    basis: List[List[Fraction]] = []
-    for gamma in gamma_basis:
-        e = [Fraction(0)] * (n + 1)
-        for t in range(n):
-            e[t + 1] = e[t] + gamma[cls[t]]
-        assert e[n] == 0
-        basis.append(e[:n])
-    if not basis:
+    gammas = [_integral(g)[1] for g in nullspace(RatMatrix(pivot_rows, n_cols=n_classes))]
+    if not gammas:
         return []
-    reduced, _ = rref(RatMatrix(basis))
-    return [row for row in reduced if any(x != 0 for x in row)]
+    # The pivot candidates are the columns t_c + 1 inside the vector, t_c the
+    # first step of class c (see the module docstring).
+    firsts: List[int] = []
+    for t, c in enumerate(cls[:-1]):
+        if c == len(firsts):
+            firsts.append(t + 1)
+    lifts = [_lift(g, cls) for g in gammas]
+    reduced, pivots = rref(
+        RatMatrix([[e[t] for t in firsts] + g for e, g in zip(lifts, gammas)])
+    )
+    assert len(pivots) == len(gammas) and pivots[-1] < len(firsts)
+    basis: List[List[Fraction]] = []
+    for row in reduced:
+        den, gamma = _integral(row[len(firsts):])
+        e = _lift(gamma, cls)
+        assert e[n] == 0
+        basis.append([Fraction(x, den) for x in e[:n]])
+    return basis

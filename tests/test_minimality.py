@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcut import (
     gmic,
@@ -16,6 +18,7 @@ from groupcut.minimality import (
     ORIGIN_VALUE,
     SUBADDITIVITY,
     SYMMETRY,
+    first_subadditivity_violation,
 )
 
 F = Fraction
@@ -148,3 +151,27 @@ class TestWithFBreakpoint:
 
     def test_noop_when_present(self, gmic45):
         assert with_f_breakpoint(gmic45) is gmic45
+
+
+def first_violation_by_loops(iv):
+    """The subadditivity scan of the grid oracle, one pair at a time."""
+    n = len(iv)
+    for i in range(n):
+        for j in range(i, n):
+            if iv[i] + iv[j] < iv[(i + j) % n]:
+                return i, j
+    return None
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_scan_finds_the_first_violation(iv):
+    assert first_subadditivity_violation(iv) == first_violation_by_loops(iv)
+
+
+def test_row_scan_on_a_subadditive_vector_and_a_dent():
+    n = 60
+    tent = [min(i, n - i) for i in range(n)]  # subadditive on Z/n
+    assert first_subadditivity_violation(tent) is None
+    tent[n - 2] -= 3
+    assert first_subadditivity_violation(tent) == first_violation_by_loops(tent) == (1, 58)

@@ -9,6 +9,8 @@ import pytest
 from groupcut import (
     RatMatrix,
     affine_combine,
+    delta_pi,
+    delta_vertices,
     epsilon_ratio_test,
     interpolate_perturbation,
     make_pwl,
@@ -18,6 +20,7 @@ from groupcut import (
     gmic,
     with_f_breakpoint,
 )
+from groupcut.complex2d import vertex_slacks
 
 F = Fraction
 
@@ -81,3 +84,19 @@ def test_single_f_insertion_is_the_double_one(fn):
     once = with_f_breakpoint(fn.canonicalize())
     twice = with_f_breakpoint(with_f_breakpoint(fn).canonicalize())
     assert (once.f, once.breakpoints, once.limits) == (twice.f, twice.breakpoints, twice.limits)
+
+
+def test_vertex_slacks_are_delta_pi(combos):
+    # One fn evaluation per scaled coordinate gives Δπ exactly as three
+    # evaluations per vertex did, in the vertex order of delta_vertices.
+    # Subtracting a sawtooth, which has a jump, makes some slacks negative.
+    sawtooth = make_pwl(F(4, 5), [0], [(1, 0, 0)])
+    fns = combos + [affine_combine(1, fn, -F(1, 3), sawtooth) for fn in combos]
+    negative = 0
+    for fn in map(with_f_breakpoint, fns):
+        expected = [
+            (v, (v[0] + v[1] - fn.f) % 1 == 0, delta_pi(fn, *v)) for v in delta_vertices(fn)
+        ]
+        assert vertex_slacks(fn) == expected
+        negative += any(slack < 0 for _, _, slack in expected)
+    assert negative
