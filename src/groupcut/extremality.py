@@ -18,8 +18,9 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import DeltaFace, additivity_report
-from .minimality import minimality_test, with_f_breakpoint
+from .minimality import min_slack_ratio, minimality_test, with_f_breakpoint
 from .pwl import PwlPeriodic, affine_combine, pwl_from_values
+from .rational import scale_to_integers
 from .solver import Run, perturbation_space
 
 
@@ -140,35 +141,17 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     identically zero or is non-additive at a tight pair of fn.
     """
     n = lcm(fn.denominator_lcm(), perturbation.denominator_lcm())
-    v = [fn(Fraction(i, n)) for i in range(n)]
-    b = [perturbation(Fraction(i, n)) for i in range(n)]
-    dv = lcm(*(x.denominator for x in v))
-    db = lcm(*(x.denominator for x in b))
-    iv = [int(x * dv) for x in v]
-    ib = [int(x * db) for x in b]
-    if all(x == 0 for x in ib):
+    iv, dv = scale_to_integers([fn(Fraction(i, n)) for i in range(n)])
+    ib, db = scale_to_integers([perturbation(Fraction(i, n)) for i in range(n)])
+    if not any(ib):
         raise ValueError("perturbation is identically zero")
-    # The ratio at a pair is (slack/dv) / (|dbar|/db); the running minimum
-    # is kept as the integer pair (best_s, best_d) and compared by cross
-    # products, since the common factor db/dv > 0 does not change the order.
-    best_s, best_d = 0, 0
-    for i in range(n):
-        vi, bi = iv[i], ib[i]
-        for j in range(i, n):
-            dbar = bi + ib[j] - ib[(i + j) % n]
-            if dbar == 0:
-                continue
-            slack = vi + iv[j] - iv[(i + j) % n]
-            if slack <= 0:
-                raise ValueError(
-                    "perturbation is non-additive at a tight pair of the function"
-                )
-            dbar = abs(dbar)
-            if best_d == 0 or slack * best_d < best_s * dbar:
-                best_s, best_d = slack, dbar
-    if best_d == 0:
+    # The ratio at a pair is (slack/dv) / (|Δb|/db); the factor db/dv > 0
+    # does not change which pair is least.
+    pair = min_slack_ratio(iv, ib)
+    if pair is None:
         raise ValueError("perturbation has no non-additive pair; ratio is unbounded")
-    return Fraction(best_s * db, dv * best_d)
+    slack, dbar = pair
+    return Fraction(slack * db, dv * dbar)
 
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:

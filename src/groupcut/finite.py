@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .minimality import (
@@ -22,8 +21,10 @@ from .minimality import (
     MinimalityVerdict,
     MinimalityWitness,
     first_subadditivity_violation,
+    min_slack_ratio,
 )
 from .pwl import PwlPeriodic, pwl_from_values
+from .rational import scale_to_integers
 from .solver import perturbation_space
 
 
@@ -64,8 +65,7 @@ def interpolate_to_infinite_group(g: FiniteGroupFn) -> PwlPeriodic:
 
 
 def _scaled(g: FiniteGroupFn) -> Tuple[List[int], int]:
-    denom = lcm(*(v.denominator for v in g.values))
-    return [int(v * denom) for v in g.values], denom
+    return scale_to_integers(g.values)
 
 
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
@@ -157,16 +157,10 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
     q = g.q
     # Ratio test: half the minimum slack-to-perturbation ratio over pairs
     # where the perturbation is not additive.
-    eps = None
-    for i in range(q):
-        for j in range(i, q):
-            dbar = bar[i] + bar[j] - bar[(i + j) % q]
-            if dbar != 0:
-                slack = g.values[i] + g.values[j] - g.values[(i + j) % q]
-                ratio = slack / abs(dbar)
-                if eps is None or ratio < eps:
-                    eps = ratio
-    eps = Fraction(1) if eps is None else eps / 2
+    iv, dv = _scaled(g)
+    ib, db = scale_to_integers(bar)
+    pair = min_slack_ratio(iv, ib)
+    eps = Fraction(1) if pair is None else Fraction(pair[0] * db, 2 * dv * pair[1])
     for _ in range(64):
         g_plus = FiniteGroupFn(q, g.f_index, tuple(v + eps * b for v, b in zip(g.values, bar)))
         g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
@@ -23,6 +22,7 @@ from .complex2d import (
     vertex_slacks,
 )
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .rational import scale_to_integers
 
 ORIGIN_VALUE = "originValue"
 NEGATIVITY = "negativity"
@@ -165,8 +165,7 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
     q = fn.denominator_lcm()
     n = refine * q
     vals = [fn(Fraction(i, n)) for i in range(n)]
-    denom = lcm(*(v.denominator for v in vals))
-    iv = [int(v * denom) for v in vals]
+    iv, denom = scale_to_integers(vals)
     one = denom
 
     if iv[0] != 0:
@@ -221,3 +220,31 @@ def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]
             k = next(k for k, d in enumerate(diffs) if d < bound)
             return i, i + k
     return None
+
+
+def min_slack_ratio(iv: Sequence[int], ib: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair (slack, |Δb|), in the order of the subadditivity scan,
+    with the least slack / |Δb| over i <= j where Δb, the Δ of ib at (i, j),
+    is nonzero and slack is the Δ of iv there; None if there is none.
+    Compared by cross products.  Raises ValueError where Δb ≠ 0 and
+    slack <= 0, since no ε > 0 keeps that pair subadditive.
+    """
+    n = len(iv)
+    iv2, ib2 = list(iv) * 2, list(ib) * 2
+    best_s = best_d = 0
+    for i in range(n):
+        vi, bi = iv[i], ib[i]
+        start = 2 * i % n
+        stop = start + n - i
+        for vj, vk, bj, bk in zip(iv[i:], iv2[start:stop], ib[i:], ib2[start:stop]):
+            d = bi + bj - bk
+            if not d:
+                continue
+            slack = vi + vj - vk
+            if slack <= 0:
+                raise ValueError("perturbation is non-additive at a tight pair of the function")
+            if d < 0:
+                d = -d
+            if not best_d or slack * best_d < best_s * d:
+                best_s, best_d = slack, d
+    return (best_s, best_d) if best_d else None

@@ -1,17 +1,25 @@
-"""Exact rational scalars and small dense rational matrices.
+"""Exact rational scalars and fraction-free exact linear algebra.
 
 Rationals are :class:`fractions.Fraction` throughout the package; the stdlib
 type already guarantees the canonical-form invariants we rely on (reduced
 terms, positive denominator, exact field arithmetic, ``p/q`` string form).
-This module adds the strict parser used by the JSON layer and a deterministic
-reduced-row-echelon null-space routine for the perturbation machinery.
+This module adds the strict parser used by the JSON layer and one integer
+Gauss–Jordan kernel behind ``rref``, ``rank`` and ``nullspace``: rows are
+scaled by the lcm of their denominators, the pivot is the first row with a
+nonzero entry in the scan column, and each other row becomes
+p·row − a·pivot_row over its gcd, as in fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968).  These row operations keep the row space, and at the
+end each pivot row, divided by its pivot, is a row of a matrix in reduced
+row echelon form; that form of a row space is unique, so the output is the
+one Fraction elimination gives.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Sequence
+from math import gcd, lcm
+from typing import List, Sequence, Tuple
 
 Rat = Fraction
 
@@ -76,27 +84,44 @@ class RatMatrix:
         return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.rows]
 
 
-def rref(matrix: RatMatrix) -> tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def scale_to_integers(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(ints, d): d the lcm of the denominators, ints the values times d."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
-    Pivot selection is the first row with a nonzero entry in the scan column,
-    which makes the result (and everything derived from it) deterministic.
+
+def _integer_rows(matrix: RatMatrix) -> List[List[int]]:
+    return [scale_to_integers(row)[0] for row in matrix.rows]
+
+
+def eliminate(row: List[int], pivot_row: List[int], col: int) -> List[int]:
+    """p·row − a·pivot_row, p and a the entries at col over their gcd, divided
+    by the gcd of its entries."""
+    p, a = pivot_row[col], row[col]
+    g = gcd(p, a)
+    new = [p // g * x - a // g * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def integer_rref(rows: Sequence[List[int]], n_cols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss–Jordan elimination; returns (rows, pivot columns).
+
+    Row r < len(pivots), divided by its entry at pivots[r], is row r of the
+    reduced row echelon form; the rows after them are zero.
     """
-    m = [row[:] for row in matrix.rows]
-    n_rows, n_cols = len(m), matrix.n_cols
+    m = [list(row) for row in rows]
+    n_rows = len(m)
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i != r and m[i][c]:
+                m[i] = eliminate(m[i], m[r], c)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -104,8 +129,33 @@ def rref(matrix: RatMatrix) -> tuple[List[List[Fraction]], List[int]]:
     return m, pivots
 
 
+def integer_nullspace(rows: Sequence[List[int]], n_cols: int) -> Tuple[int, List[List[int]]]:
+    """(d, vectors): ``nullspace`` of the integer matrix, times d > 0."""
+    m, pivots = integer_rref(rows, n_cols)
+    d = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    basis: List[List[int]] = []
+    for fc in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [0] * n_cols
+        vec[fc] = d
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc] * (d // m[r][pc])
+        basis.append(vec)
+    return d, basis
+
+
+def rref(matrix: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The pivot rows come first, in pivot order, followed by the zero rows.
+    """
+    m, pivots = integer_rref(_integer_rows(matrix), matrix.n_cols)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out.extend([Fraction(0)] * matrix.n_cols for _ in m[len(pivots):])
+    return out, pivots
+
+
 def rank(matrix: RatMatrix) -> int:
-    return len(rref(matrix)[1])
+    return len(integer_rref(_integer_rows(matrix), matrix.n_cols)[1])
 
 
 def nullspace(matrix: RatMatrix) -> List[List[Fraction]]:
@@ -115,15 +165,5 @@ def nullspace(matrix: RatMatrix) -> List[List[Fraction]]:
     time; pivot variables are back-substituted from the RREF.  A matrix with
     no rows yields the standard basis.
     """
-    m, pivots = rref(matrix)
-    n_cols = matrix.n_cols
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: List[List[Fraction]] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        basis.append(vec)
-    return basis
+    d, basis = integer_nullspace(_integer_rows(matrix), matrix.n_cols)
+    return [[Fraction(x, d) for x in vec] for vec in basis]

@@ -53,18 +53,21 @@ column, but periodicity fixes its γ entry from the others), and
 rref([E_S | Γ]) = [T·E_S | T·Γ] with all pivots in the first block.  T·E is in reduced echelon form, because every
 column outside S is a combination of the columns to its left; the reduced
 echelon form of a row space is unique, so the lift of T·Γ is rref(E) entry
-for entry, and no elimination ever runs over a length-n row.  Scaling the
-γ rows to integers first changes neither the row space nor the result.
+for entry, and no elimination ever runs over a length-n row.
+
+All of it runs on integer rows in the kernel of :mod:`groupcut.rational`; a
+reduced row is p times its RREF row, so only the basis entries are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .complex2d import _merge_intervals
-from .rational import RatMatrix, nullspace, rref
+from .rational import eliminate, integer_nullspace, integer_rref
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
 # ("v", i0, lo, hi) covers (i0, j) for lo <= j <= hi;
@@ -188,20 +191,9 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
     return [class_of_root[uf.find(t)] for t in range(n)]
 
 
-def _integral(gamma: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """(d, d * gamma) for the least d > 0 that makes d * gamma integral."""
-    den = lcm(*(x.denominator for x in gamma))
-    return den, [x.numerator * (den // x.denominator) for x in gamma]
-
-
 def _lift(gamma: Sequence[int], cls: Sequence[int]) -> List[int]:
     """e(t) = sum of gamma over the classes of the steps before t, t <= n."""
-    e = [0]
-    acc = 0
-    for c in cls:
-        acc += gamma[c]
-        e.append(acc)
-    return e
+    return [0, *accumulate(map(gamma.__getitem__, cls))]
 
 
 def perturbation_space(
@@ -254,7 +246,7 @@ def perturbation_space(
 
     def row_for(u: int, v: int) -> Tuple[int, ...]:
         a, b, c = prefix[u], prefix[v], prefix[u + v]
-        return tuple(a[i] + b[i] - c[i] for i in range(n_classes))
+        return tuple(map(sub, map(add, a, b), c))
 
     rows = {row_for(u, v) for u, v in anchors}
     rows.add(tuple(prefix[f_index % n]))
@@ -262,24 +254,22 @@ def perturbation_space(
     rows.discard(tuple([0] * n_classes))
 
     # Incremental forward elimination with early exit once full rank is hit.
-    pivot_rows: List[List[Fraction]] = []
+    pivot_rows: List[List[int]] = []
     pivot_cols: List[int] = []
     for row in sorted(rows):
-        r = [Fraction(x) for x in row]
+        r = list(row)
         for col, prow in zip(pivot_cols, pivot_rows):
-            if r[col] != 0:
-                factor = r[col]
-                r = [a - factor * b for a, b in zip(r, prow)]
-        lead = next((c for c, x in enumerate(r) if x != 0), None)
+            if r[col]:
+                r = eliminate(r, prow, col)
+        lead = next((c for c, x in enumerate(r) if x), None)
         if lead is None:
             continue
-        inv = r[lead]
-        pivot_rows.append([x / inv for x in r])
+        pivot_rows.append(r)
         pivot_cols.append(lead)
         if len(pivot_cols) == n_classes:
             return []
 
-    gammas = [_integral(g)[1] for g in nullspace(RatMatrix(pivot_rows, n_cols=n_classes))]
+    _, gammas = integer_nullspace(pivot_rows, n_classes)
     if not gammas:
         return []
     # The pivot candidates are the columns t_c + 1 inside the vector, t_c the
@@ -289,14 +279,15 @@ def perturbation_space(
         if c == len(firsts):
             firsts.append(t + 1)
     lifts = [_lift(g, cls) for g in gammas]
-    reduced, pivots = rref(
-        RatMatrix([[e[t] for t in firsts] + g for e, g in zip(lifts, gammas)])
+    reduced, pivots = integer_rref(
+        [[e[t] for t in firsts] + g for e, g in zip(lifts, gammas)], len(firsts) + n_classes
     )
     assert len(pivots) == len(gammas) and pivots[-1] < len(firsts)
     basis: List[List[Fraction]] = []
-    for row in reduced:
-        den, gamma = _integral(row[len(firsts):])
-        e = _lift(gamma, cls)
+    for row, pc in zip(reduced, pivots):
+        e = _lift(row[len(firsts):], cls)
         assert e[n] == 0
-        basis.append([Fraction(x, den) for x in e[:n]])
+        # A basis vector takes few distinct values; build each Fraction once.
+        value = {x: Fraction(x, row[pc]) for x in set(e)}
+        basis.append(list(map(value.__getitem__, e[:n])))
     return basis
