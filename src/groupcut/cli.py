@@ -14,22 +14,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
+# The largest module first: compiled before dataclasses loads inspect, it lowers peak RSS.
+from . import complex2d  # noqa: F401
 from . import serialize
-from .compendium import REGISTRY, construct, list_registry
-from .extremality import extremality_test
-from .finite import (
-    FiniteGroupFn,
-    finite_minimality_test,
-    interpolate_to_infinite_group,
-    restrict_to_finite_group,
-)
-from .minimality import minimality_test
 from .pwl import PwlPeriodic, affine_combine, precompose_scale
 from .rational import rat_parse
 from .serialize import SchemaError
-from .svg import plot_2d_diagram, plot_function
+
+if TYPE_CHECKING:
+    from .finite import FiniteGroupFn
+
+# Each command imports the other layers it runs, so a process loads only those.
 
 
 class InputError(Exception):
@@ -72,6 +69,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from .compendium import construct
+
     params = {}
     if args.f is not None:
         params["f"] = rat_parse(args.f)
@@ -98,6 +97,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .compendium import list_registry
+
     for entry in list_registry():
         status = "constructible" if entry.constructible else "stub"
         params = ",".join(entry.parameters)
@@ -108,15 +109,21 @@ def _cmd_list(args) -> int:
 def _cmd_test_minimality(args) -> int:
     obj = _read_json(args.function)
     fn = serialize.deserialize_function(obj)
-    if isinstance(fn, FiniteGroupFn):
-        verdict = finite_minimality_test(fn)
-    else:
+    if isinstance(fn, PwlPeriodic):
+        from .minimality import minimality_test
+
         verdict = minimality_test(fn)
+    else:
+        from .finite import finite_minimality_test
+
+        verdict = finite_minimality_test(fn)
     _emit(serialize.dumps(serialize.minimality_verdict_json(verdict)), args.output)
     return 0
 
 
 def _cmd_test_extremality(args) -> int:
+    from .extremality import extremality_test
+
     fn = _load_pwl(args.function)
     try:
         verdict = extremality_test(fn, oversampling=args.oversampling)
@@ -132,6 +139,8 @@ def _cmd_test_extremality(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
+    from .finite import restrict_to_finite_group
+
     fn = _load_pwl(args.function)
     try:
         g = restrict_to_finite_group(fn, args.q, m=args.m)
@@ -142,6 +151,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    from .finite import interpolate_to_infinite_group
+
     g = _load_finite(args.function)
     _emit(serialize.dumps(serialize.serialize_pwl(interpolate_to_infinite_group(g))), args.output)
     return 0
@@ -172,6 +183,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svg import plot_2d_diagram, plot_function
+
     fn = _load_pwl(args.function)
     if args.kind == "function":
         _emit(plot_function(fn), args.output)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .finite import FiniteGroupFn
 from .pwl import (
     PwlPeriodic,
     affine_combine,
@@ -22,6 +21,9 @@ from .pwl import (
     precompose_scale,
     pwl_from_values,
 )
+
+if TYPE_CHECKING:
+    from .finite import FiniteGroupFn
 
 
 def gmic(f) -> PwlPeriodic:
@@ -246,6 +248,8 @@ def _construct_psm(params) -> PwlPeriodic:
 def _construct_two_slope_fill_in(params) -> PwlPeriodic:
     g = params.get("g")
     if g is None:
+        from .finite import FiniteGroupFn
+
         g = FiniteGroupFn(
             q=int(params["q"]),
             f_index=int(params["f_index"]),

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import DeltaFace, additivity_report
 from .minimality import min_slack_ratio, minimality_test, with_f_breakpoint
-from .pwl import PwlPeriodic, affine_combine, pwl_from_values
+from .pwl import PwlPeriodic, affine_combine, grid_values, pwl_from_values
 from .rational import scale_to_integers
 from .solver import Run, perturbation_space
 
@@ -141,8 +141,8 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     identically zero or is non-additive at a tight pair of fn.
     """
     n = lcm(fn.denominator_lcm(), perturbation.denominator_lcm())
-    iv, dv = scale_to_integers([fn(Fraction(i, n)) for i in range(n)])
-    ib, db = scale_to_integers([perturbation(Fraction(i, n)) for i in range(n)])
+    iv, dv = scale_to_integers(grid_values(fn, n))
+    ib, db = scale_to_integers(grid_values(perturbation, n))
     if not any(ib):
         raise ValueError("perturbation is identically zero")
     # The ratio at a pair is (slack/dv) / (|Δb|/db); the factor db/dv > 0

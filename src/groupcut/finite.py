@@ -23,9 +23,8 @@ from .minimality import (
     first_subadditivity_violation,
     min_slack_ratio,
 )
-from .pwl import PwlPeriodic, pwl_from_values
+from .pwl import PwlPeriodic, grid_values, pwl_from_values
 from .rational import scale_to_integers
-from .solver import perturbation_space
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroup
     f_index = fn.f * n
     if f_index.denominator != 1:
         raise ValueError(f"f={fn.f} does not lie on the (1/{n})Z grid")
-    values = tuple(fn(Fraction(i, n)) for i in range(n))
+    values = tuple(grid_values(fn, n))
     return FiniteGroupFn(q=n, f_index=int(f_index), values=values)
 
 
@@ -139,6 +138,8 @@ def _additive_runs(iv: List[int], q: int) -> List[Tuple[str, int, int, int]]:
 
 def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
     """Basis of grid perturbations additive on every tight pair of g."""
+    from .solver import perturbation_space  # so that a restriction alone never loads the solver
+
     iv, _ = _scaled(g)
     runs = _additive_runs(iv, g.q)
     return perturbation_space(g.q, g.f_index, runs)

@@ -21,7 +21,7 @@ from .complex2d import (
     find_face,
     vertex_slacks,
 )
-from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .pwl import AT, LEFT, RIGHT, PwlPeriodic, grid_values
 from .rational import scale_to_integers
 
 ORIGIN_VALUE = "originValue"
@@ -164,7 +164,7 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
     """
     q = fn.denominator_lcm()
     n = refine * q
-    vals = [fn(Fraction(i, n)) for i in range(n)]
+    vals = grid_values(fn, n)
     iv, denom = scale_to_integers(vals)
     one = denom
 

@@ -162,6 +162,31 @@ def limit(fn: PwlPeriodic, x, side: str) -> Fraction:
     return fn.limit(x, side)
 
 
+def grid_values(fn: PwlPeriodic, n: int) -> List[Fraction]:
+    """``[fn(Fraction(i, n)) for i in range(n)]`` in one walk over the pieces.
+
+    On the piece [b, b') the values r + s·(i/n − b) form an arithmetic
+    progression in i.  With its start and step over one common denominator
+    d, each value is ``Fraction(integer, d)``; a grid point on b takes the
+    value stored there.
+    """
+    out: List[Fraction] = []
+    ends = fn.breakpoints[1:] + (1,)
+    for b, end, (_, at, right), s in zip(fn.breakpoints, ends, fn.limits, fn.slopes):
+        lo, hi = ceil(b * n), ceil(end * n)  # the grid points i/n in [b, end)
+        if lo >= hi:
+            continue
+        if lo == b * n:
+            out.append(at)
+            lo += 1
+        start, step = right - s * b, s / n
+        d = lcm(start.denominator, step.denominator)
+        c = start.numerator * (d // start.denominator)
+        t = step.numerator * (d // step.denominator)
+        out.extend(Fraction(c + t * i, d) for i in range(lo, hi))
+    return out
+
+
 def _merged_breakpoints(*fns: PwlPeriodic) -> List[Fraction]:
     pts = sorted({b for fn in fns for b in fn.breakpoints})
     return pts

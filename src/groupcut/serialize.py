@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
-from .extremality import ExtremalityVerdict, PerturbationCertificate
-from .finite import FiniteGroupFn
-from .minimality import MinimalityVerdict, MinimalityWitness
 from .pwl import PwlPeriodic
 from .rational import rat_parse, rat_str
+
+if TYPE_CHECKING:  # annotations only: a verdict's layer is loaded by its test
+    from .extremality import ExtremalityVerdict, PerturbationCertificate
+    from .finite import FiniteGroupFn
+    from .minimality import MinimalityVerdict, MinimalityWitness
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +82,8 @@ def deserialize_pwl(obj: Any, path: str = "$") -> PwlPeriodic:
 
 
 def deserialize_finite(obj: Any, path: str = "$") -> FiniteGroupFn:
+    from .finite import FiniteGroupFn
+
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     version = obj.get("schema_version")

@@ -13,23 +13,21 @@ from typing import List
 
 from .complex2d import (
     classify_additive,
-    delta_pi,
     delta_pi_limit,
-    delta_vertices,
     enumerate_faces,
     face_ring,
+    vertex_slacks,
 )
 from .minimality import with_f_breakpoint
-from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .pwl import PwlPeriodic
 
 _SCALE = 10**6
 
 
 def _fmt(x) -> str:
     """Six-decimal truncation of a rational, computed in integers."""
-    n = int(Fraction(x) * _SCALE)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
+    n = abs(x.numerator) * _SCALE // x.denominator
+    sign = "-" if x.numerator < 0 and n else ""
     return f"{sign}{n // _SCALE}.{n % _SCALE:06d}"
 
 
@@ -189,9 +187,7 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
     # Red dots at subadditivity violations.
     violations = set()
     if fn.is_continuous():
-        for u, v in delta_vertices(fn):
-            if delta_pi(fn, u, v) < 0:
-                violations.add((u, v))
+        violations.update(vert for vert, _, slack in vertex_slacks(fn) if slack < 0)
     else:
         for face in faces:
             for vert in face.vertices:
