@@ -21,7 +21,6 @@ from . import complex2d  # noqa: F401
 from . import serialize
 from .pwl import PwlPeriodic, affine_combine, precompose_scale
 from .rational import rat_parse
-from .serialize import SchemaError
 
 if TYPE_CHECKING:
     from .finite import FiniteGroupFn
@@ -269,10 +268,7 @@ def main(argv=None) -> int:
     try:
         _check_threads_env()
         return args.func(args)
-    except (InputError, SchemaError, ZeroDivisionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (InputError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except Exception as exc:  # pragma: no cover - defensive

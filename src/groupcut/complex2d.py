@@ -375,37 +375,24 @@ def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, vertex: Point) -> Fraction:
     return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(w, s3)
 
 
-def _relint_sample(fn: PwlPeriodic, face: DeltaFace) -> Point | None:
-    """A relative-interior point whose x, y, x+y avoid all breakpoint lines."""
-    verts = face.vertices
-    n = len(verts)
-    bx = sum(v[0] for v in verts) / n
-    by = sum(v[1] for v in verts) / n
-    lines = set()
-    for b in fn.breakpoints:
-        lines.add(b)
-        lines.add(b + 1)
-    candidates = [(bx, by)]
-    for t in (Fraction(1, 3), Fraction(2, 7), Fraction(3, 11)):
-        for vx, vy in verts:
-            candidates.append((bx + t * (vx - bx), by + t * (vy - by)))
-    for x, y in candidates:
-        if face.dim == 2 and (x in lines or y in lines or (x + y) in lines):
-            continue
-        return (x, y)
-    return None
-
-
 def _is_additive_with_limits(fn: PwlPeriodic, face: DeltaFace) -> bool:
     """Whether Δπ vanishes on the relative interior of a face of a function
-    with jumps: every limit along the face, and one interior sample."""
-    if any(delta_pi_limit(fn, face, v) != 0 for v in face.vertices):
+    with jumps: every limit along the face, and for a 2-D face its value at
+    the barycenter of the vertices.
+
+    A 2-D face is F(I, J, K) with I, J and K elementary intervals of the
+    breakpoints (were one a single point, the face would lie on a line), so
+    its interior lies strictly inside I, J and K.  The barycenter of the
+    vertices of a polygon is an interior point; hence its x, y and x + y avoid
+    every breakpoint line, and fn is continuous at each of them.
+    """
+    verts = face.vertices
+    if any(delta_pi_limit(fn, face, v) != 0 for v in verts):
         return False
-    sample = _relint_sample(fn, face)
-    if sample is not None and face.dim == 2:
-        if delta_pi(fn, *sample) != 0:
-            return False
-    return True
+    if face.dim != 2:
+        return True
+    n = len(verts)
+    return delta_pi(fn, sum(x for x, _ in verts) / n, sum(y for _, y in verts) / n) == 0
 
 
 def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[DeltaFace]:

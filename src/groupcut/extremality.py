@@ -12,12 +12,12 @@ interpolated perturbation and an exact ε with both endpoints minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .complex2d import DeltaFace, additivity_report
+from .complex2d import AdditivityReport, DeltaFace, additivity_report
 from .minimality import min_slack_ratio, minimality_test, with_f_breakpoint
 from .pwl import PwlPeriodic, affine_combine, grid_values, pwl_from_values
 from .rational import scale_to_integers
@@ -85,25 +85,33 @@ def _additive_face_runs(faces: Sequence[DeltaFace], n: int) -> List[Run]:
     return sorted(set(runs))
 
 
-def _grid_check(fn: PwlPeriodic, oversampling: int) -> Tuple[PwlPeriodic, int, int]:
-    mv = minimality_test(fn)
-    if not mv.minimal:
-        raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
+def _additive_system(
+    fn: PwlPeriodic, oversampling: int
+) -> Tuple[PwlPeriodic, int, int, AdditivityReport, List[Run]]:
+    """fn with f as a breakpoint, the grid n = oversampling·q, the index of f
+    on it, the additivity report and the additive runs on the grid.
+
+    A discontinuous fn and an oversampling factor below 3 are refused before
+    the minimality test runs.
+    """
     if not fn.is_continuous():
         raise ValueError("extremality test supports continuous functions only")
     if oversampling < 3:
         raise ValueError("oversampling factor must be at least 3")
+    mv = minimality_test(fn)
+    if not mv.minimal:
+        raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
     fn = with_f_breakpoint(fn)
-    q = fn.denominator_lcm()
-    return fn, q, oversampling * q
+    n = oversampling * fn.denominator_lcm()
+    report = additivity_report(fn)
+    return fn, n, int(fn.f * n), report, _additive_face_runs(report.additive_faces, n)
 
 
 def restriction_additive_pairs(fn: PwlPeriodic, oversampling: int = 3):
     """All additive grid pairs E(π) ∩ ((1/(mq))Z)^2 as fractions in [0,1)."""
-    fn, _, n = _grid_check(fn, oversampling)
-    report = additivity_report(fn)
+    _, n, _, _, runs = _additive_system(fn, oversampling)
     pairs = set()
-    for kind, c, lo, hi in _additive_face_runs(report.additive_faces, n):
+    for kind, c, lo, hi in runs:
         for t in range(lo, hi + 1):
             if kind == "h":
                 i, j = t, c
@@ -117,10 +125,7 @@ def restriction_additive_pairs(fn: PwlPeriodic, oversampling: int = 3):
 
 def perturbation_space_basis(fn: PwlPeriodic, oversampling: int = 3) -> PerturbationBasis:
     """Deterministic basis of the additive perturbation space on the grid."""
-    fn, _, n = _grid_check(fn, oversampling)
-    report = additivity_report(fn)
-    runs = _additive_face_runs(report.additive_faces, n)
-    f_index = int(fn.f * n)
+    _, n, f_index, _, runs = _additive_system(fn, oversampling)
     basis = perturbation_space(n, f_index, runs)
     return PerturbationBasis(
         grid_n=n, f_index=f_index, vectors=tuple(tuple(v) for v in basis)
@@ -156,19 +161,17 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:
     """Decide extremality; non-extreme functions come with a certificate."""
-    fn_b, _, n = _grid_check(fn, oversampling)
-    report = additivity_report(fn_b)
-    runs = _additive_face_runs(report.additive_faces, n)
-    f_index = int(fn_b.f * n)
+    fn_b, n, f_index, report, runs = _additive_system(fn, oversampling)
     basis = perturbation_space(n, f_index, runs)
+    verdict = ExtremalityVerdict(
+        extreme=not basis,
+        oversampling=oversampling,
+        grid_n=n,
+        basis_dimension=len(basis),
+        covered_intervals=report.covered_intervals,
+    )
     if not basis:
-        return ExtremalityVerdict(
-            extreme=True,
-            oversampling=oversampling,
-            grid_n=n,
-            basis_dimension=0,
-            covered_intervals=report.covered_intervals,
-        )
+        return verdict
     # perturbation_space returns its basis in reduced row echelon form.
     bar = interpolate_perturbation(basis[0], n, fn_b.f)
     eps = epsilon_ratio_test(fn_b, bar)
@@ -179,17 +182,9 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
             # Normalize so the certified interval is fn ± 1 * perturbation;
             # the admissible magnitude is absorbed into the perturbation.
             scaled_bar = affine_combine(eps, bar, 0, bar)
-            cert = PerturbationCertificate(
+            return replace(verdict, certificate=PerturbationCertificate(
                 perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
-            )
-            return ExtremalityVerdict(
-                extreme=False,
-                oversampling=oversampling,
-                grid_n=n,
-                basis_dimension=len(basis),
-                covered_intervals=report.covered_intervals,
-                certificate=cert,
-            )
+            ))
         eps /= 2
     raise RuntimeError("could not validate a perturbation certificate")
 

@@ -40,7 +40,9 @@ class FiniteGroupFn:
             raise ValueError("f_index must lie strictly between 0 and q")
         if len(self.values) != self.q:
             raise ValueError("need exactly q values")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        # Fraction(v) would copy every value that is already a Fraction.
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
     @property
     def f(self) -> Fraction:

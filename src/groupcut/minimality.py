@@ -21,8 +21,7 @@ from .complex2d import (
     find_face,
     vertex_slacks,
 )
-from .pwl import AT, LEFT, RIGHT, PwlPeriodic, grid_values
-from .rational import scale_to_integers
+from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
 ORIGIN_VALUE = "originValue"
 NEGATIVITY = "negativity"
@@ -156,51 +155,17 @@ def verify_witness(fn: PwlPeriodic, witness: MinimalityWitness) -> bool:
 
 
 def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdict:
-    """Brute-force check of the minimality conditions on ((1/(refine*q))Z)^2.
+    """Brute-force check of the minimality conditions on ((1/(refine*q))Z)^2:
+    the finite-group test of the restriction of fn to that grid.
 
     Only function *values* on the grid are inspected.  For continuous
     functions with denominator q this is equivalent to the vertex test; it
-    exists as an independent cross-check.
+    exists as an independent cross-check.  Raises ValueError if refine < 1.
     """
-    q = fn.denominator_lcm()
-    n = refine * q
-    vals = grid_values(fn, n)
-    iv, denom = scale_to_integers(vals)
-    one = denom
+    # Imported here because finite imports this module.
+    from .finite import finite_minimality_test, restrict_to_finite_group
 
-    if iv[0] != 0:
-        return MinimalityVerdict(False, MinimalityWitness(ORIGIN_VALUE, Fraction(0), vals[0]))
-    for i, v in enumerate(iv):
-        if v < 0:
-            return MinimalityVerdict(
-                False, MinimalityWitness(NEGATIVITY, Fraction(i, n), vals[i])
-            )
-    f_idx = int(fn.f * n)
-    if iv[f_idx] != one:
-        return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, vals[f_idx]))
-    for i in range(n):
-        j = (f_idx - i) % n
-        if iv[i] + iv[j] != one:
-            return MinimalityVerdict(
-                False,
-                MinimalityWitness(
-                    SYMMETRY,
-                    (Fraction(i, n), Fraction(j, n)),
-                    Fraction(iv[i] + iv[j] - one, denom),
-                ),
-            )
-    pair = first_subadditivity_violation(iv)
-    if pair is not None:
-        i, j = pair
-        return MinimalityVerdict(
-            False,
-            MinimalityWitness(
-                SUBADDITIVITY,
-                (Fraction(i, n), Fraction(j, n)),
-                Fraction(iv[i] + iv[j] - iv[(i + j) % n], denom),
-            ),
-        )
-    return MinimalityVerdict(True)
+    return finite_minimality_test(restrict_to_finite_group(fn, fn.denominator_lcm(), refine))
 
 
 def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]]:

@@ -127,3 +127,30 @@ class TestInterpolatePerturbation:
         fn = interpolate_perturbation(vec, 6, F(1, 2))
         for i, v in enumerate(vec):
             assert fn(F(i, 6)) == v
+
+
+class TestRefusedBeforeWork:
+    """Inputs the test cannot decide are refused before the minimality
+    test runs, so a refusal costs no face enumeration."""
+
+    @pytest.fixture(autouse=True)
+    def no_minimality_test(self, monkeypatch):
+        from groupcut import extremality
+
+        def fail(fn):
+            raise AssertionError("minimality_test ran before the input was refused")
+
+        monkeypatch.setattr(extremality, "minimality_test", fail)
+
+    ENTRIES = [extremality_test, perturbation_space_basis, restriction_additive_pairs]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_discontinuous(self, entry):
+        fn = make_pwl(F(1, 2), [0, F(1, 2)], [(1, 0, 0), (1, 1, 0)])
+        with pytest.raises(ValueError, match="continuous functions only"):
+            entry(fn)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_small_oversampling(self, gmic45, entry):
+        with pytest.raises(ValueError, match="oversampling factor must be at least 3"):
+            entry(gmic45, oversampling=2)
