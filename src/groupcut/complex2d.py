@@ -291,54 +291,76 @@ def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
     return _to_face(dim, ix, iy, iz, verts, _unscaler(q))
 
 
-def delta_vertices(fn: PwlPeriodic) -> List[Point]:
-    """Vertices of the complex inside [0,1)^2.
+def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
+    """(n, vertices): n the lcm of the functions' ``denominator_lcm()``, and
+    the vertices in [0, n)² of the complex on the union of their
+    breakpoints, scaled by n, in sorted order.
 
     Every vertex is the intersection of two lines from distinct families, so
-    at least two of x, y, x+y (mod 1) land on breakpoints.
+    at least two of x, y, x+y (mod n) land on breakpoints.
     """
-    q, pts = _scaled_breakpoints(fn)
+    n = lcm(*(fn.denominator_lcm() for fn in fns))
+    pts = sorted({_scale(b, n) for fn in fns for b in fn.breakpoints})
     verts = {(bx, by) for bx in pts for by in pts}
-    sums = _sum_ends(pts, q)
+    sums = _sum_ends(pts, n)
     for b in pts:
         for z in sums:
             c = z - b
-            if 0 <= c < q:
+            if 0 <= c < n:
                 verts.add((b, c))
                 verts.add((c, b))
+    return n, sorted(verts)
+
+
+def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[List[int], int]:
+    """(slacks, d): d·Δπ at each scaled vertex (x, y) of ``verts``, as
+    integers over one common denominator d > 0.  n must be a multiple of
+    ``fn.denominator_lcm()``.
+
+    fn is evaluated once per distinct coordinate t of x, y and x + y (mod n),
+    never on the whole grid: on the piece [b, b′) the value at t/n is
+    c + m·t for rationals c and m, so with every c, m and breakpoint value
+    over d, the value at t is the integer c·d + m·d·t, or the value stored
+    at b when t/n = b.
+    """
+    pts = [_scale(b, n) for b in fn.breakpoints]
+    starts = [r - s * b for b, (_, _, r), s in zip(fn.breakpoints, fn.limits, fn.slopes)]
+    steps = [s / n for s in fn.slopes]
+    ats = [v for _, v, _ in fn.limits]
+    d = lcm(*(x.denominator for x in starts + steps + ats))
+
+    def scaled(xs: List[Fraction]) -> List[int]:
+        return [x.numerator * (d // x.denominator) for x in xs]
+
+    starts, steps, ats = scaled(starts), scaled(steps), scaled(ats)
+    value: Dict[int, int] = {}
+    for t in {t for x, y in verts for t in (x, y, (x + y) % n)}:
+        i = bisect_right(pts, t) - 1
+        value[t] = ats[i] if pts[i] == t else starts[i] + steps[i] * t
+    return [value[x] + value[y] - value[(x + y) % n] for x, y in verts], d
+
+
+def delta_vertices(fn: PwlPeriodic) -> List[Point]:
+    """Vertices of the complex inside [0,1)^2, in sorted order."""
+    q, verts = scaled_vertices(fn)
     u = _unscaler(q)
-    return [u(v) for v in sorted(verts)]
-
-
-def _scaled_values(fn: PwlPeriodic, q: int) -> Callable[[int], Fraction]:
-    """t -> fn(t/q), evaluated once per residue of t mod q."""
-    values: Dict[int, Fraction] = {}
-
-    def value(t: int) -> Fraction:
-        t %= q
-        v = values.get(t)
-        if v is None:
-            v = values[t] = fn(Fraction(t, q))
-        return v
-
-    return value
+    return [u(v) for v in verts]
 
 
 def vertex_slacks(fn: PwlPeriodic) -> List[Tuple[Point, bool, Fraction]]:
     """The vertices of ``delta_vertices(fn)`` in its order, each with whether
     it lies on the symmetry line x + y = f (mod 1) and with Δπ there.
 
-    The value of Δπ is ``delta_pi`` at the vertex, but fn is evaluated once
-    per distinct scaled coordinate, not three times per vertex.
+    The value of Δπ is ``delta_pi`` at the vertex, read from
+    ``scaled_slacks``.
     """
-    q = fn.denominator_lcm()
-    value = _scaled_values(fn, q)
+    q, verts = scaled_vertices(fn)
+    slacks, d = scaled_slacks(fn, q, verts)
     f = _scale(fn.f, q)
-    out = []
-    for vert in delta_vertices(fn):
-        x, y = _scale(vert[0], q), _scale(vert[1], q)
-        out.append((vert, (x + y - f) % q == 0, value(x) + value(y) - value(x + y)))
-    return out
+    u = _unscaler(q)
+    return [
+        (u(v), (v[0] + v[1] - f) % q == 0, Fraction(s, d)) for v, s in zip(verts, slacks)
+    ]
 
 
 # -- Δπ and additivity ---------------------------------------------------------
@@ -400,27 +422,20 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
     vanishes, in their given order.
 
     For a continuous function Δπ is affine on each face, so it vanishes on
-    the face exactly when it vanishes at the vertices.  Vertices are read on
-    the (1/q)Z² grid, fn is evaluated once per distinct scaled coordinate
-    and Δπ once per distinct vertex, so the cost follows the number of
-    vertices, not q.
+    the face exactly when it vanishes at the vertices.  Δπ is read once per
+    vertex from ``scaled_slacks``; it is periodic in x and y, so a face
+    vertex is looked up by its coordinates mod 1, and the cost follows the
+    number of vertices, not q.
     """
     if not fn.is_continuous():
         return [face for face in faces if _is_additive_with_limits(fn, face)]
-    q = fn.denominator_lcm()
-    value = _scaled_values(fn, q)
-    zero: Dict[IntPoint, bool] = {}
-
-    def additive_at(x: int, y: int) -> bool:
-        z = zero.get((x, y))
-        if z is None:
-            z = zero[(x, y)] = value(x) + value(y) == value(x + y)
-        return z
-
+    q, verts = scaled_vertices(fn)
+    slacks, _ = scaled_slacks(fn, q, verts)
+    zero = {v for v, s in zip(verts, slacks) if not s}
     return [
         face
         for face in faces
-        if all(additive_at(_scale(x, q), _scale(y, q)) for x, y in face.vertices)
+        if all((_scale(x, q) % q, _scale(y, q) % q) in zero for x, y in face.vertices)
     ]
 
 

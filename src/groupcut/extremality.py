@@ -14,14 +14,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .complex2d import AdditivityReport, DeltaFace, additivity_report
-from .minimality import min_slack_ratio, minimality_test, with_f_breakpoint
-from .pwl import PwlPeriodic, affine_combine, grid_values, pwl_from_values
+from .complex2d import (
+    AdditivityReport,
+    DeltaFace,
+    additivity_report,
+    scaled_slacks,
+    scaled_vertices,
+)
+from .minimality import minimality_test, with_f_breakpoint
+from .pwl import PwlPeriodic, affine_combine
 from .rational import scale_to_integers
 from .solver import Run, perturbation_space
+
+# The largest grid n = oversampling·q the extremality test accepts.  The
+# solver's union-find does O(n^2) unit unions on a fine grid (about 18
+# million at n = 6,000), so a larger grid would run for minutes with no
+# message.  The bound admits gmic(9999/10000) at n = 30,000.
+MAX_GRID_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -91,18 +102,20 @@ def _additive_system(
     """fn with f as a breakpoint, the grid n = oversampling·q, the index of f
     on it, the additivity report and the additive runs on the grid.
 
-    A discontinuous fn and an oversampling factor below 3 are refused before
-    the minimality test runs.
+    A discontinuous fn, an oversampling factor below 3 and a grid n above
+    ``MAX_GRID_N`` are refused before the minimality test runs.
     """
     if not fn.is_continuous():
         raise ValueError("extremality test supports continuous functions only")
     if oversampling < 3:
         raise ValueError("oversampling factor must be at least 3")
+    n = oversampling * fn.denominator_lcm()
+    if n > MAX_GRID_N:
+        raise ValueError(f"grid of {n} points exceeds the bound of {MAX_GRID_N} points")
     mv = minimality_test(fn)
     if not mv.minimal:
         raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
     fn = with_f_breakpoint(fn)
-    n = oversampling * fn.denominator_lcm()
     report = additivity_report(fn)
     return fn, n, int(fn.f * n), report, _additive_face_runs(report.additive_faces, n)
 
@@ -133,30 +146,58 @@ def perturbation_space_basis(fn: PwlPeriodic, oversampling: int = 3) -> Perturba
 
 
 def interpolate_perturbation(vector: Sequence[Fraction], grid_n: int, f) -> PwlPeriodic:
-    """Continuous interpolant of a grid perturbation vector."""
-    pts = [(Fraction(i, grid_n), Fraction(v)) for i, v in enumerate(vector)]
-    return pwl_from_values(Fraction(f), pts).canonicalize()
+    """Continuous interpolant of a grid perturbation vector, in canonical form.
+
+    Its breakpoints are 0 and the grid points where the slope changes,
+    found by one pass of second differences over the periodic vector; this
+    is ``pwl_from_values(f, [(i/grid_n, v_i)]).canonicalize()``.
+    """
+    iv, _ = scale_to_integers(vector)
+    n = len(iv)
+    kinks = [0] + [i for i in range(1, n) if iv[i - 1] - 2 * iv[i] + iv[(i + 1) % n]]
+    values = [Fraction(vector[i]) for i in kinks]
+    return PwlPeriodic(f, [Fraction(i, grid_n) for i in kinks], [(v, v, v) for v in values])
 
 
 def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
-    """Largest ε with Δ(fn ± ε·perturbation) >= 0 wherever Δ(perturbation) ≠ 0.
+    """Largest ε with Δ(fn ± ε·perturbation) >= 0 wherever Δ(perturbation) ≠ 0,
+    for continuous fn and perturbation and a subadditive fn.
 
-    Both functions are sampled on their common refinement grid, where the
-    vertices of the refined complex live.  Raises if the perturbation is
-    identically zero or is non-additive at a tight pair of fn.
+    Both Δfn and Δperturbation are affine on each face of the complex on
+    the union of the two breakpoint sets, so Δfn ± ε·Δperturbation is >= 0
+    on the grid (1/n)Z², n the lcm of the two denominators, exactly when it
+    is >= 0 at the vertices of that complex, which lie on the grid.  So ε is
+    the least slack / |Δperturbation| over those vertices, where
+    Δperturbation ≠ 0.  Raises ValueError if either function has a jump,
+    if the perturbation is identically zero, if it is non-additive at a
+    tight pair of fn or additive everywhere, or if fn is not subadditive.
     """
-    n = lcm(fn.denominator_lcm(), perturbation.denominator_lcm())
-    iv, dv = scale_to_integers(grid_values(fn, n))
-    ib, db = scale_to_integers(grid_values(perturbation, n))
-    if not any(ib):
+    if not (fn.is_continuous() and perturbation.is_continuous()):
+        raise ValueError("epsilon ratio test supports continuous functions only")
+    if not any(v for _, v, _ in perturbation.limits):
         raise ValueError("perturbation is identically zero")
-    # The ratio at a pair is (slack/dv) / (|Δb|/db); the factor db/dv > 0
-    # does not change which pair is least.
-    pair = min_slack_ratio(iv, ib)
-    if pair is None:
+    n, verts = scaled_vertices(fn, perturbation)
+    verts = [(x, y) for x, y in verts if x <= y]
+    slacks, dv = scaled_slacks(fn, n, verts)
+    deltas, db = scaled_slacks(perturbation, n, verts)
+    best_s = best_d = 0
+    subadditive = True
+    for slack, d in zip(slacks, deltas):
+        if not d:
+            subadditive = subadditive and slack >= 0
+            continue
+        if slack <= 0:
+            raise ValueError("perturbation is non-additive at a tight pair of the function")
+        if d < 0:
+            d = -d
+        if not best_d or slack * best_d < best_s * d:
+            best_s, best_d = slack, d
+    if not subadditive:
+        raise ValueError("epsilon ratio test requires a subadditive function")
+    if not best_d:
         raise ValueError("perturbation has no non-additive pair; ratio is unbounded")
-    slack, dbar = pair
-    return Fraction(slack * db, dv * dbar)
+    # The ratio at a vertex is (slack/dv) / (|Δb|/db).
+    return Fraction(best_s * db, dv * best_d)
 
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:

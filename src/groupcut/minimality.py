@@ -19,7 +19,8 @@ from .complex2d import (
     delta_pi_limit,
     enumerate_faces,
     find_face,
-    vertex_slacks,
+    scaled_slacks,
+    scaled_vertices,
 )
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 
@@ -81,13 +82,22 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
         return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, fn(fn.f)))
 
     continuous = fn.is_continuous()
-    vertices = vertex_slacks(fn)
     faces = None if continuous else enumerate_faces(fn)
+    # Δπ at the vertices as integers over d; Fractions only for a witness.
+    q, verts = scaled_vertices(fn)
+    slacks, d = scaled_slacks(fn, q, verts)
+    f = int(fn.f * q)
+
+    def vertex_witness(kind: str, i: int) -> MinimalityVerdict:
+        x, y = verts[i]
+        return MinimalityVerdict(
+            False, MinimalityWitness(kind, (Fraction(x, q), Fraction(y, q)), Fraction(slacks[i], d))
+        )
 
     # Symmetry: Δπ must vanish on the line x + y = f (mod 1).
-    for vert, on_line, slack in vertices:
-        if on_line and slack != 0:
-            return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, vert, slack))
+    for i, ((x, y), slack) in enumerate(zip(verts, slacks)):
+        if slack and (x + y - f) % q == 0:
+            return vertex_witness(SYMMETRY, i)
     if not continuous:
         for face in faces:
             if face.dim != 1:
@@ -105,11 +115,9 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     # Subadditivity: Δπ >= 0 at every vertex, including one-sided limits
     # along every incident face when there are jumps.
     if continuous:
-        for vert, _, slack in vertices:
+        for i, slack in enumerate(slacks):
             if slack < 0:
-                return MinimalityVerdict(
-                    False, MinimalityWitness(SUBADDITIVITY, vert, slack)
-                )
+                return vertex_witness(SUBADDITIVITY, i)
     else:
         for face in faces:
             for vert in face.vertices:
