@@ -11,10 +11,13 @@ Every vertex of the complex lies in (1/q)Z², where q = fn.denominator_lcm()
 is the lcm of the denominators of f and the breakpoints: a vertex is where
 two lines of distinct families meet, and x = b, y = b′ and x + y = b″ with
 b, b′, b″ in (1/q)Z meet only at points of (1/q)Z².  So the kernel scales
-every breakpoint by q and runs in integers.  Clipping a rectangle against
-x + y = c lands on integers, so the one division of the clip is exact (and
-asserted to be).  Fractions are built only for the faces and vertices handed
-back to the caller; dividing by q > 0 keeps every order the kernel sorts by.
+every breakpoint by q and runs in integers.  A face needs no polygon
+clipping: the lines x + y = c are parallel, so every vertex of F(I,J,K) lies
+on a side of the box I×J, where the strip x + y ∈ K cuts one interval with
+integer ends; walking the four sides lists the vertices in order, and their
+number gives the dimension.  Fractions are built only for the faces and
+vertices handed back to the caller; dividing by q > 0 keeps every order the
+kernel sorts by.
 """
 
 from __future__ import annotations
@@ -127,59 +130,33 @@ def _sum_faces(ends: Sequence[int]) -> List[IntInterval]:
     return out
 
 
-def _clip(poly: List[IntPoint], s: int, c: int) -> List[IntPoint]:
-    """Clip a convex ring against s*(x + y) <= c for s = ±1 (exact).
+def _ring(ix: IntInterval, iy: IntInterval, iz: IntInterval) -> List[IntPoint]:
+    """F(ix, iy, iz) = {x in ix, y in iy, x + y in iz} as a counter-clockwise
+    ring of its distinct vertices; empty if the face is.
 
-    A diagonal edge is parallel to the line and never crosses it, so a
-    crossing edge is axis-parallel and meets the line at an integer point.
+    The lines x + y = z0 and x + y = z1 are parallel, so every vertex lies
+    on a side of the box ix×iy, and on each side the part inside the strip
+    is one closed interval.  Walking the ends of these intervals along the
+    bottom, right, top and left sides lists the vertices in order.
     """
-    if not poly:
-        return []
-    if len(poly) == 1:
-        x, y = poly[0]
-        return poly if s * (x + y) <= c else []
-    out: List[IntPoint] = []
-    n = len(poly)
-    for i in range(n):
-        p, r = poly[i], poly[(i + 1) % n]
-        fp = s * (p[0] + p[1]) - c
-        fr = s * (r[0] + r[1]) - c
-        if fp <= 0:
-            out.append(p)
-        if (fp < 0 < fr) or (fr < 0 < fp):
-            dx, rx = divmod(fp * (r[0] - p[0]), fp - fr)
-            dy, ry = divmod(fp * (r[1] - p[1]), fp - fr)
-            assert rx == ry == 0, "clip point off the (1/q)Z^2 grid"
-            out.append((p[0] + dx, p[1] + dy))
-    dedup: List[IntPoint] = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _rectangle(ix: IntInterval, iy: IntInterval) -> List[IntPoint]:
-    ring = [(ix[0], iy[0]), (ix[1], iy[0]), (ix[1], iy[1]), (ix[0], iy[1])]
-    return [p for i, p in enumerate(ring) if p not in ring[:i]]
-
-
-def _clip_sum(ring: List[IntPoint], iz: IntInterval) -> List[IntPoint]:
-    """The part of a ring with x + y in iz, in counter-clockwise order."""
-    return _clip(_clip(ring, 1, iz[1]), -1, -iz[0])
-
-
-def _shape(ring: List[IntPoint]) -> Tuple[int, Tuple[IntPoint, ...]]:
-    """(dim, vertex tuple) of a nonempty ring: sorted corners, or the two
-    endpoints of a segment."""
-    unique = sorted(set(ring))
-    if len(unique) == 1:
-        return 0, tuple(unique)
-    (x0, y0), (x1, y1) = unique[0], unique[1]
-    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in unique[2:]):
-        return 1, (unique[0], unique[-1])
-    return 2, tuple(unique)
+    (x0, x1), (y0, y1), (z0, z1) = ix, iy, iz
+    walk: List[IntPoint] = []
+    lo, hi = max(x0, z0 - y0), min(x1, z1 - y0)
+    if lo <= hi:
+        walk += [(lo, y0), (hi, y0)]
+    lo, hi = max(y0, z0 - x1), min(y1, z1 - x1)
+    if lo <= hi:
+        walk += [(x1, lo), (x1, hi)]
+    lo, hi = max(x0, z0 - y1), min(x1, z1 - y1)
+    if lo <= hi:
+        walk += [(hi, y1), (lo, y1)]
+    lo, hi = max(y0, z0 - x0), min(y1, z1 - x0)
+    if lo <= hi:
+        walk += [(x0, hi), (x0, lo)]
+    ring = [p for i, p in enumerate(walk) if not i or p != walk[i - 1]]
+    if len(ring) > 1 and ring[0] == ring[-1]:
+        ring.pop()
+    return ring
 
 
 def _to_face(
@@ -211,16 +188,15 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     seen: Dict[Tuple[IntPoint, ...], Tuple] = {}
     for ix in faces_xy:
         for iy in faces_xy:
-            rect = _rectangle(ix, iy)
             first = bisect_left(z_hi, ix[0] + iy[0])
             last = bisect_right(z_lo, ix[1] + iy[1])
             for iz in faces_z[first:last]:
-                ring = _clip_sum(rect, iz)
+                ring = _ring(ix, iy, iz)
                 if not ring:
                     continue
-                dim, verts = _shape(ring)
+                verts = tuple(sorted(ring))
                 if verts not in seen:
-                    seen[verts] = (dim, ix, iy, iz)
+                    seen[verts] = (min(len(ring) - 1, 2), ix, iy, iz)
     u = _unscaler(q)
     order = sorted(seen, key=lambda verts: (seen[verts][0], verts))
     return [_to_face(*seen[verts], verts, u) for verts in order]
@@ -231,7 +207,7 @@ def face_ring(face: DeltaFace) -> List[Point]:
     ends = face.interval_x + face.interval_y + face.interval_z
     q = lcm(*(e.denominator for e in ends))
     x0, x1, y0, y1, z0, z1 = (_scale(e, q) for e in ends)
-    ring = _clip_sum(_rectangle((x0, x1), (y0, y1)), (z0, z1))
+    ring = _ring((x0, x1), (y0, y1), (z0, z1))
     return [(Fraction(x, q), Fraction(y, q)) for x, y in ring]
 
 
@@ -282,13 +258,11 @@ def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
     iz = _smallest_face(_sum_ends(pts, q), True, min(zs), max(zs))
     if ix is None or iy is None or iz is None:
         return None
-    ring = _clip_sum(_rectangle(ix, iy), iz)
-    if not ring:
-        return None
-    dim, verts = _shape(ring)
+    ring = _ring(ix, iy, iz)
+    verts = tuple(sorted(ring))
     if verts != tuple(scaled):
         return None
-    return _to_face(dim, ix, iy, iz, verts, _unscaler(q))
+    return _to_face(min(len(ring) - 1, 2), ix, iy, iz, verts, _unscaler(q))
 
 
 def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:

@@ -24,15 +24,9 @@ from .complex2d import (
     scaled_vertices,
 )
 from .minimality import minimality_test, with_f_breakpoint
-from .pwl import PwlPeriodic, affine_combine
-from .rational import scale_to_integers
+from .pwl import MAX_GRID_N  # noqa: F401 -- re-exported as extremality.MAX_GRID_N
+from .pwl import PwlPeriodic, affine_combine, check_grid_size, interpolate_grid
 from .solver import Run, perturbation_space
-
-# The largest grid n = oversampling·q the extremality test accepts.  The
-# solver's union-find does O(n^2) unit unions on a fine grid (about 18
-# million at n = 6,000), so a larger grid would run for minutes with no
-# message.  The bound admits gmic(9999/10000) at n = 30,000.
-MAX_GRID_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,7 @@ def _additive_system(
     if oversampling < 3:
         raise ValueError("oversampling factor must be at least 3")
     n = oversampling * fn.denominator_lcm()
-    if n > MAX_GRID_N:
-        raise ValueError(f"grid of {n} points exceeds the bound of {MAX_GRID_N} points")
+    check_grid_size(n)
     mv = minimality_test(fn)
     if not mv.minimal:
         raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
@@ -146,17 +139,8 @@ def perturbation_space_basis(fn: PwlPeriodic, oversampling: int = 3) -> Perturba
 
 
 def interpolate_perturbation(vector: Sequence[Fraction], grid_n: int, f) -> PwlPeriodic:
-    """Continuous interpolant of a grid perturbation vector, in canonical form.
-
-    Its breakpoints are 0 and the grid points where the slope changes,
-    found by one pass of second differences over the periodic vector; this
-    is ``pwl_from_values(f, [(i/grid_n, v_i)]).canonicalize()``.
-    """
-    iv, _ = scale_to_integers(vector)
-    n = len(iv)
-    kinks = [0] + [i for i in range(1, n) if iv[i - 1] - 2 * iv[i] + iv[(i + 1) % n]]
-    values = [Fraction(vector[i]) for i in kinks]
-    return PwlPeriodic(f, [Fraction(i, grid_n) for i in kinks], [(v, v, v) for v in values])
+    """Canonical continuous interpolant of a grid vector (``interpolate_grid``)."""
+    return interpolate_grid(vector, grid_n, f)
 
 
 def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:

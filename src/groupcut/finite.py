@@ -23,7 +23,7 @@ from .minimality import (
     first_subadditivity_violation,
     min_slack_ratio,
 )
-from .pwl import PwlPeriodic, grid_values, pwl_from_values
+from .pwl import PwlPeriodic, check_grid_size, grid_values, interpolate_grid
 from .rational import scale_to_integers
 
 
@@ -50,8 +50,9 @@ class FiniteGroupFn:
 
 
 def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroupFn:
-    """Sample fn on (1/(mq))Z; f must lie on that grid."""
+    """Sample fn on (1/(mq))Z; f must lie on it, and mq be at most MAX_GRID_N."""
     n = m * q
+    check_grid_size(n)
     f_index = fn.f * n
     if f_index.denominator != 1:
         raise ValueError(f"f={fn.f} does not lie on the (1/{n})Z grid")
@@ -60,9 +61,8 @@ def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroup
 
 
 def interpolate_to_infinite_group(g: FiniteGroupFn) -> PwlPeriodic:
-    """Continuous piecewise linear interpolant through the grid values."""
-    pts = [(Fraction(i, g.q), v) for i, v in enumerate(g.values)]
-    return pwl_from_values(g.f, pts).canonicalize()
+    """Canonical continuous interpolant of the grid values (``interpolate_grid``)."""
+    return interpolate_grid(g.values, g.q, g.f)
 
 
 def _scaled(g: FiniteGroupFn) -> Tuple[List[int], int]:

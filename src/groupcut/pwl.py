@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import List, Sequence, Tuple
 
+from .rational import scale_to_integers
+
 Triple = Tuple[Fraction, Fraction, Fraction]
 
 LEFT, AT, RIGHT = "left", "at", "right"
@@ -162,6 +164,31 @@ def limit(fn: PwlPeriodic, x, side: str) -> Fraction:
     return fn.limit(x, side)
 
 
+# The largest grid n = m·q sampled or solved on.  Sampling costs n Fractions
+# and the extremality solver O(n^2) unit unions (about 18 million at n = 6,000),
+# so a larger grid would run for minutes.  gmic(9999/10000) needs n = 30,000.
+MAX_GRID_N = 1_000_000
+
+
+def check_grid_size(n: int) -> None:
+    """Raise ValueError, naming the bound, if n exceeds ``MAX_GRID_N``."""
+    if n > MAX_GRID_N:
+        raise ValueError(f"grid of {n} points exceeds the bound of {MAX_GRID_N} points")
+
+
+def interpolate_grid(values: Sequence[Fraction], n: int, f) -> PwlPeriodic:
+    """Continuous periodic interpolant of ``values[i]`` at i/n, in canonical
+    form: ``pwl_from_values(f, [(i/n, values[i])]).canonicalize()``.
+
+    Its breakpoints are 0 and the grid points where the slope changes, found
+    by one pass of integer second differences over the periodic vector.
+    """
+    iv, _ = scale_to_integers(values)
+    k = len(iv)
+    kinks = [0] + [i for i in range(1, k) if iv[i - 1] - 2 * iv[i] + iv[(i + 1) % k]]
+    return PwlPeriodic(f, [Fraction(i, n) for i in kinks], [(values[i],) * 3 for i in kinks])
+
+
 def grid_values(fn: PwlPeriodic, n: int) -> List[Fraction]:
     """``[fn(Fraction(i, n)) for i in range(n)]`` in one walk over the pieces.
 
@@ -188,8 +215,7 @@ def grid_values(fn: PwlPeriodic, n: int) -> List[Fraction]:
 
 
 def _merged_breakpoints(*fns: PwlPeriodic) -> List[Fraction]:
-    pts = sorted({b for fn in fns for b in fn.breakpoints})
-    return pts
+    return sorted({b for fn in fns for b in fn.breakpoints})
 
 
 def affine_combine(a, fn1: PwlPeriodic, b, fn2: PwlPeriodic) -> PwlPeriodic:

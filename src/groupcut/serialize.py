@@ -34,6 +34,16 @@ def _rat_at(value: Any, path: str) -> Fraction:
         raise SchemaError(f"{path}: {exc}") from None
 
 
+def _check_header(obj: Any, path: str) -> None:
+    """obj must be an object with the current ``schema_version``.  Integers are
+    tested with ``type(...) is int``: JSON ``true`` and ``1.0`` equal 1 too."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected an object")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"{path}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+
+
 def serialize_pwl(fn: PwlPeriodic) -> dict:
     fn = fn.canonicalize()
     return {
@@ -54,11 +64,7 @@ def serialize_finite(g: FiniteGroupFn) -> dict:
 
 
 def deserialize_pwl(obj: Any, path: str = "$") -> PwlPeriodic:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    _check_header(obj, path)
     for key in ("f", "breakpoints", "limits"):
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing")
@@ -84,16 +90,13 @@ def deserialize_pwl(obj: Any, path: str = "$") -> PwlPeriodic:
 def deserialize_finite(obj: Any, path: str = "$") -> FiniteGroupFn:
     from .finite import FiniteGroupFn
 
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object")
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    _check_header(obj, path)
     for key in ("q", "f_index", "values"):
         if key not in obj:
             raise SchemaError(f"{path}.{key}: missing")
-    if not isinstance(obj["q"], int) or not isinstance(obj["f_index"], int):
-        raise SchemaError(f"{path}.q/f_index: expected integers")
+    for key in ("q", "f_index"):
+        if type(obj[key]) is not int:
+            raise SchemaError(f"{path}.{key}: expected an integer, got {obj[key]!r}")
     if not isinstance(obj["values"], list):
         raise SchemaError(f"{path}.values: expected an array")
     values = [_rat_at(v, f"{path}.values[{i}]") for i, v in enumerate(obj["values"])]
