@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .complex2d import (
     AdditivityReport,
     DeltaFace,
+    _scale,
     additivity_report,
     scaled_slacks,
     scaled_vertices,
@@ -61,27 +62,23 @@ def _additive_face_runs(faces: Sequence[DeltaFace], n: int) -> List[Run]:
     integers and two-dimensional faces decompose exactly into grid rows;
     the rows are computed in integer arithmetic.
     """
-
-    def at(x: Fraction) -> int:
-        return x.numerator * (n // x.denominator)
-
     runs: List[Run] = []
     for face in faces:
         if face.dim == 0:
             (x, y), = face.vertices
-            runs.append(("h", at(y), at(x), at(x)))
+            runs.append(("h", _scale(y, n), _scale(x, n), _scale(x, n)))
         elif face.dim == 1:
             (x0, y0), (x1, y1) = face.vertices
             if y0 == y1:
-                runs.append(("h", at(y0), at(x0), at(x1)))
+                runs.append(("h", _scale(y0, n), _scale(x0, n), _scale(x1, n)))
             elif x0 == x1:
-                runs.append(("v", at(x0), at(min(y0, y1)), at(max(y0, y1))))
+                runs.append(("v", _scale(x0, n), _scale(min(y0, y1), n), _scale(max(y0, y1), n)))
             else:
-                runs.append(("d", at(x0 + y0), at(min(x0, x1)), at(max(x0, x1))))
+                runs.append(("d", _scale(x0 + y0, n), *sorted((_scale(x0, n), _scale(x1, n)))))
         else:
-            x_lo, x_hi = map(at, face.interval_x)
-            y_lo, y_hi = map(at, face.interval_y)
-            z_lo, z_hi = map(at, face.interval_z)
+            x_lo, x_hi = (_scale(v, n) for v in face.interval_x)
+            y_lo, y_hi = (_scale(v, n) for v in face.interval_y)
+            z_lo, z_hi = (_scale(v, n) for v in face.interval_z)
             for j in range(y_lo, y_hi + 1):
                 lo = max(x_lo, z_lo - j)
                 hi = min(x_hi, z_hi - j)
@@ -185,7 +182,13 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
 
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:
-    """Decide extremality; non-extreme functions come with a certificate."""
+    """Decide extremality; non-extreme functions come with a certificate.
+
+    Its endpoints π± = π ± ε·bar are minimal for the ε of ``epsilon_ratio_test``:
+    Δπ± >= 0 at the vertices of the common complex, so everywhere; bar(0) =
+    bar(f) = 0 and bar is additive on the symmetry line, as π is; and
+    0 = π±(k·x) <= k·π±(x) for x in (1/k)Z.  A failed re-check raises.
+    """
     fn_b, n, f_index, report, runs = _additive_system(fn, oversampling)
     basis = perturbation_space(n, f_index, runs)
     verdict = ExtremalityVerdict(
@@ -200,18 +203,16 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     # perturbation_space returns its basis in reduced row echelon form.
     bar = interpolate_perturbation(basis[0], n, fn_b.f)
     eps = epsilon_ratio_test(fn_b, bar)
-    for _ in range(64):
-        pi_plus = affine_combine(1, fn_b, eps, bar)
-        pi_minus = affine_combine(1, fn_b, -eps, bar)
-        if minimality_test(pi_plus).minimal and minimality_test(pi_minus).minimal:
-            # Normalize so the certified interval is fn ± 1 * perturbation;
-            # the admissible magnitude is absorbed into the perturbation.
-            scaled_bar = affine_combine(eps, bar, 0, bar)
-            return replace(verdict, certificate=PerturbationCertificate(
-                perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
-            ))
-        eps /= 2
-    raise RuntimeError("could not validate a perturbation certificate")
+    pi_plus = affine_combine(1, fn_b, eps, bar)
+    pi_minus = affine_combine(1, fn_b, -eps, bar)
+    if not (minimality_test(pi_plus).minimal and minimality_test(pi_minus).minimal):
+        raise RuntimeError("could not validate a perturbation certificate")
+    # Normalize so the certified interval is fn ± 1 * perturbation;
+    # the admissible magnitude is absorbed into the perturbation.
+    scaled_bar = affine_combine(eps, bar, 0, bar)
+    return replace(verdict, certificate=PerturbationCertificate(
+        perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
+    ))
 
 
 def facetness_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:

@@ -34,6 +34,8 @@ class FiniteGroupFn:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.q) is not int or type(self.f_index) is not int:
+            raise ValueError(f"q and f_index must be integers, got {self.q!r}, {self.f_index!r}")
         if self.q < 2:
             raise ValueError("group order must be at least 2")
         if not 0 < self.f_index < self.q:
@@ -148,7 +150,13 @@ def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
 
 
 def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
-    """Extreme iff the only additive perturbation vanishing at 0 and f is 0."""
+    """Extreme iff the only additive perturbation vanishing at 0 and f is 0.
+
+    A certificate's endpoints g± = g ± ε·bar are minimal for ε half the least
+    slack / |Δbar| where Δbar ≠ 0 (1 if nowhere): Δg± >= 0 at every pair;
+    bar(0) = bar(f) = 0 and bar is additive on the tight pairs i + j = f;
+    and 0 = g±(q·i) <= q·g±(i).  A failed re-check raises.
+    """
     mv = finite_minimality_test(g)
     if not mv.minimal:
         raise ValueError(f"finite extremality test requires a minimal function: {mv.witness}")
@@ -158,25 +166,16 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
 
     bar = basis[0]
     q = g.q
-    # Ratio test: half the minimum slack-to-perturbation ratio over pairs
-    # where the perturbation is not additive.
     iv, dv = _scaled(g)
     ib, db = scale_to_integers(bar)
     pair = min_slack_ratio(iv, ib)
     eps = Fraction(1) if pair is None else Fraction(pair[0] * db, 2 * dv * pair[1])
-    for _ in range(64):
-        g_plus = FiniteGroupFn(q, g.f_index, tuple(v + eps * b for v, b in zip(g.values, bar)))
-        g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))
-        if finite_minimality_test(g_plus).minimal and finite_minimality_test(g_minus).minimal:
-            cert = FiniteCertificate(
-                perturbation=_pert_fn(g, bar),
-                epsilon=eps,
-                g_plus=g_plus,
-                g_minus=g_minus,
-            )
-            return FiniteExtremalityVerdict(extreme=False, basis_dimension=len(basis), certificate=cert)
-        eps /= 2
-    raise RuntimeError("could not validate a finite perturbation certificate")
+    g_plus = FiniteGroupFn(q, g.f_index, tuple(v + eps * b for v, b in zip(g.values, bar)))
+    g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))
+    if not (finite_minimality_test(g_plus).minimal and finite_minimality_test(g_minus).minimal):
+        raise RuntimeError("could not validate a finite perturbation certificate")
+    cert = FiniteCertificate(_pert_fn(g, bar), eps, g_plus, g_minus)
+    return FiniteExtremalityVerdict(extreme=False, basis_dimension=len(basis), certificate=cert)
 
 
 def _pert_fn(g: FiniteGroupFn, bar: List[Fraction]) -> FiniteGroupFn:

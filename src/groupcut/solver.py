@@ -41,33 +41,37 @@ smaller root, so each class is rooted at its first step and classes are
 numbered in order of first occurrence, which the partition alone fixes.
 
 *Basis in class space.*  A solution is a vector γ over the classes, lifted
-to e(t) = Σ_{s<t} γ(cls(s)).  Let E be the matrix whose rows are the lifted
-null-space vectors.  Column t + 1 of E minus column t is the column of class
-cls(t); unless t is the first step t_c of its class, that column already
-appears as column t_c + 1 minus column t_c, so column t + 1 lies in the span
-of the columns to its left and cannot be a pivot.  The pivot columns of E
-are thus among S = {t_c + 1}.  With Γ the matrix of the γ rows,
-E_S = Γ·P_S for P_S the unit triangular matrix of class counts up to each
-t_c, so E_S has full row rank (a class first met at step n - 1 has no
-column, but periodicity fixes its γ entry from the others), and
-rref([E_S | Γ]) = [T·E_S | T·Γ] with all pivots in the first block.  T·E is in reduced echelon form, because every
-column outside S is a combination of the columns to its left; the reduced
-echelon form of a row space is unique, so the lift of T·Γ is rref(E) entry
-for entry, and no elimination ever runs over a length-n row.
+to e(t) = Σ_{s<t} γ(cls(s)); let t_c be the first step of class c and
+δ(c) = e(t_c + 1).  Column 0 of the lifted basis matrix E is zero, and
+column t + 1 is column t plus column t_c + 1 minus column t_c, c = cls(t),
+t_c <= t; so each column is a combination of the columns S = {t_c + 1} at
+or left of it, a lifted row is zero up to its first nonzero δ entry, and
+the lift of the reduced echelon basis over δ is rref(E), that form of a
+row space being unique.  So the system is solved once, over δ:
 
-All of it runs on integer rows in the kernel of :mod:`groupcut.rational`; a
-reduced row is p times its RREF row, so only the basis entries are Fractions.
+1. one ``integer_rref`` reduces the rows over γ;
+2. L[c] = A[t_c + 1] counts the classes of the steps up to t_c, numbered c
+   or lower with c once, so L is unit lower triangular, δ = L·γ, and back
+   substitution maps a row a over γ to a·L⁻¹ over δ;
+3. ``integer_nullspace`` of these rows with their columns reversed, read
+   back reversed and in reverse order, has d at each vector's free column,
+   zeros at the other free columns and its other entries to the right: it
+   is d times rref over δ;
+4. one walk over cls lifts each vector, with γ(c) = δ(c) - e(t_c) at t_c.
+
+A class first met at step n - 1 has t_c + 1 = n, where periodicity makes δ
+vanish.  All of it runs in the integer kernel of :mod:`groupcut.rational`;
+only the basis entries, the lifted vectors over d, are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .complex2d import _merge_intervals
-from .rational import eliminate, integer_nullspace, integer_rref
+from .rational import integer_nullspace, integer_rref
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
 # ("v", i0, lo, hi) covers (i0, j) for lo <= j <= hi;
@@ -191,11 +195,6 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
     return [class_of_root[uf.find(t)] for t in range(n)]
 
 
-def _lift(gamma: Sequence[int], cls: Sequence[int]) -> List[int]:
-    """e(t) = sum of gamma over the classes of the steps before t, t <= n."""
-    return [0, *accumulate(map(gamma.__getitem__, cls))]
-
-
 def perturbation_space(
     n: int,
     f_index: int,
@@ -225,10 +224,15 @@ def perturbation_space(
     anchors.extend(pairs)
     cls = _difference_classes(n, runs)
     n_classes = max(cls) + 1
+    # t_c + 1 for the first step t_c of each class c.
+    firsts: List[int] = []
+    for t, c in enumerate(cls):
+        if c == len(firsts):
+            firsts.append(t + 1)
 
     # Prefix class-count vectors A[k][c] = #{t < k : cls[t mod n] = c} are
-    # only materialized at the indices the equations actually mention.
-    needed = {0, f_index % n, n}
+    # only materialized at the indices the equations and δ mention.
+    needed = {0, f_index % n, n, *firsts}
     for u, v in anchors:
         needed.update((u, v, u + v))
     counts = [0] * n_classes
@@ -251,43 +255,35 @@ def perturbation_space(
     rows = {row_for(u, v) for u, v in anchors}
     rows.add(tuple(prefix[f_index % n]))
     rows.add(tuple(prefix[n]))  # periodicity: e(n) = e(0) = 0
-    rows.discard(tuple([0] * n_classes))
+    reduced, pivots = integer_rref(sorted(rows), n_classes)
 
-    # Incremental forward elimination with early exit once full rank is hit.
-    pivot_rows: List[List[int]] = []
-    pivot_cols: List[int] = []
-    for row in sorted(rows):
-        r = list(row)
-        for col, prow in zip(pivot_cols, pivot_rows):
-            if r[col]:
-                r = eliminate(r, prow, col)
-        lead = next((c for c, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        pivot_rows.append(r)
-        pivot_cols.append(lead)
-        if len(pivot_cols) == n_classes:
-            return []
+    # Over δ = L·γ, L[c] = A[t_c + 1] unit lower triangular, a row a is a·L⁻¹;
+    # its columns are reversed for the null space (see the module docstring).
+    lower = [prefix[t] for t in firsts]
+    reversed_rows: List[List[int]] = []
+    for a in reduced[: len(pivots)]:
+        b = list(a)
+        for c in range(n_classes - 1, 0, -1):
+            x = b[c]
+            if x:
+                b[:c] = [y - x * z for y, z in zip(b[:c], lower[c])]
+        reversed_rows.append(b[::-1])
+    d, vectors = integer_nullspace(reversed_rows, n_classes)
 
-    _, gammas = integer_nullspace(pivot_rows, n_classes)
-    if not gammas:
-        return []
-    # The pivot candidates are the columns t_c + 1 inside the vector, t_c the
-    # first step of class c (see the module docstring).
-    firsts: List[int] = []
-    for t, c in enumerate(cls[:-1]):
-        if c == len(firsts):
-            firsts.append(t + 1)
-    lifts = [_lift(g, cls) for g in gammas]
-    reduced, pivots = integer_rref(
-        [[e[t] for t in firsts] + g for e, g in zip(lifts, gammas)], len(firsts) + n_classes
-    )
-    assert len(pivots) == len(gammas) and pivots[-1] < len(firsts)
     basis: List[List[Fraction]] = []
-    for row, pc in zip(reduced, pivots):
-        e = _lift(row[len(firsts):], cls)
-        assert e[n] == 0
+    for v in reversed(vectors):
+        delta = v[::-1]
+        # e(t_c + 1) = δ(c) fixes γ(c) at the first step of c.
+        e: List[int] = []
+        gamma: List[int] = []
+        x = 0
+        for c in cls:
+            e.append(x)
+            if c == len(gamma):
+                gamma.append(delta[c] - x)
+            x += gamma[c]
+        assert x == 0
         # A basis vector takes few distinct values; build each Fraction once.
-        value = {x: Fraction(x, row[pc]) for x in set(e)}
-        basis.append(list(map(value.__getitem__, e[:n])))
+        value = {y: Fraction(y, d) for y in set(e)}
+        basis.append(list(map(value.__getitem__, e)))
     return basis
