@@ -41,8 +41,8 @@ MU_EQ_1 = "mu_eq_1"
 def generate_eps(f, n: int, variant: str = MU_LT_1) -> List[Fraction]:
     """Standard geometric bump amplitudes eps_1..eps_n for psi_n."""
     f = Fraction(f)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if variant == MU_LT_1:
         if not 0 < f <= Fraction(4, 5):
             raise ValueError(f"variant {variant} requires 0 < f <= 4/5, got {f}")
@@ -157,8 +157,8 @@ def projected_sequential_merge(pi: PwlPeriodic, n: int) -> PwlPeriodic:
     the negation automorphism).  Other parameters are rejected.
     """
     f = pi.f
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if not n * f < 1:
         raise ValueError(f"need pi.f < 1/n, got f={f}, n={n}")
     if not pi.is_continuous():
@@ -233,16 +233,15 @@ def _construct_gmic(params) -> PwlPeriodic:
 
 def _construct_psi_n(params) -> PwlPeriodic:
     f = Fraction(params["f"])
-    n = int(params["n"])
     variant = params.get("variant", MU_LT_1)
-    return psi_n(PsiParams(f, tuple(generate_eps(f, n, variant))))
+    return psi_n(PsiParams(f, tuple(generate_eps(f, params["n"], variant))))
 
 
 def _construct_psm(params) -> PwlPeriodic:
     pi = params.get("pi")
     if pi is None:
         pi = gmic(params["f"])
-    return projected_sequential_merge(pi, int(params["n"]))
+    return projected_sequential_merge(pi, params["n"])
 
 
 def _construct_two_slope_fill_in(params) -> PwlPeriodic:
@@ -251,15 +250,15 @@ def _construct_two_slope_fill_in(params) -> PwlPeriodic:
         from .finite import FiniteGroupFn
 
         g = FiniteGroupFn(
-            q=int(params["q"]),
-            f_index=int(params["f_index"]),
+            q=params["q"],
+            f_index=params["f_index"],
             values=tuple(Fraction(v) for v in params["values"]),
         )
     return two_slope_fill_in(g, params["s_plus"], params["s_minus"])
 
 
 def _construct_mult_hom(params) -> PwlPeriodic:
-    return multiplicative_homomorphism(params["fn"], int(params["lam"]))
+    return multiplicative_homomorphism(params["fn"], params["lam"])
 
 
 def _construct_negation(params) -> PwlPeriodic:

@@ -52,7 +52,11 @@ class FiniteGroupFn:
 
 
 def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroupFn:
-    """Sample fn on (1/(mq))Z; f must lie on it, and mq be at most MAX_GRID_N."""
+    """Sample fn on (1/(mq))Z for integers q, m >= 1; f must lie on it, and
+    mq be at most MAX_GRID_N."""
+    for name, k in (("q", q), ("m", m)):
+        if type(k) is not int or k < 1:
+            raise ValueError(f"{name} must be a positive integer, got {k!r}")
     n = m * q
     check_grid_size(n)
     f_index = fn.f * n

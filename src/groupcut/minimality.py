@@ -22,7 +22,7 @@ from .complex2d import (
     scaled_slacks,
     scaled_vertices,
 )
-from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .pwl import PwlPeriodic
 
 ORIGIN_VALUE = "originValue"
 NEGATIVITY = "negativity"
@@ -53,8 +53,7 @@ def with_f_breakpoint(fn: PwlPeriodic) -> PwlPeriodic:
     if fn.f in fn.breakpoints:
         return fn
     bkpts = sorted(set(fn.breakpoints) | {fn.f})
-    trips = [tuple(fn.limit(x, s) for s in (LEFT, AT, RIGHT)) for x in bkpts]
-    return PwlPeriodic(fn.f, bkpts, trips)
+    return PwlPeriodic(fn.f, bkpts, [fn.limits_at(x) for x in bkpts])
 
 
 def _on_symmetry_line(fn: PwlPeriodic, u: Fraction, v: Fraction) -> bool:
@@ -137,12 +136,7 @@ def verify_witness(fn: PwlPeriodic, witness: MinimalityWitness) -> bool:
     if witness.kind == ORIGIN_VALUE:
         return fn(witness.location) == witness.value != 0
     if witness.kind == NEGATIVITY:
-        x = witness.location
-        return witness.value < 0 and witness.value in (
-            fn.limit(x, LEFT),
-            fn.limit(x, AT),
-            fn.limit(x, RIGHT),
-        )
+        return witness.value < 0 and witness.value in fn.limits_at(witness.location)
     if witness.kind == SYMMETRY:
         if isinstance(witness.location, tuple):
             u, v = witness.location

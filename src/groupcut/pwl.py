@@ -21,7 +21,7 @@ from .rational import scale_to_integers
 
 Triple = Tuple[Fraction, Fraction, Fraction]
 
-LEFT, AT, RIGHT = "left", "at", "right"
+_SIDES = LEFT, AT, RIGHT = "left", "at", "right"
 
 
 class PwlPeriodic:
@@ -69,35 +69,24 @@ class PwlPeriodic:
     def is_continuous(self) -> bool:
         return all(l == v == r for (l, v, r) in self.limits)
 
-    def _locate(self, x: Fraction) -> Tuple[int, Fraction]:
-        """Reduce x mod 1 and return (interval index, reduced x)."""
+    def limits_at(self, x) -> Triple:
+        """(left limit, value, right limit) of the periodic extension at x."""
         x = Fraction(x) % 1
         i = bisect_right(self.breakpoints, x) - 1
-        return i, x
-
-    def __call__(self, x) -> Fraction:
-        i, x = self._locate(Fraction(x))
         b = self.breakpoints[i]
         if x == b:
-            return self.limits[i][1]
-        return self.limits[i][2] + self.slopes[i] * (x - b)
+            return self.limits[i]
+        y = self.limits[i][2] + self.slopes[i] * (x - b)
+        return y, y, y
+
+    def __call__(self, x) -> Fraction:
+        return self.limits_at(x)[1]
 
     def limit(self, x, side: str) -> Fraction:
         """One-sided limit (or value) of the periodic extension at x."""
-        i, x = self._locate(Fraction(x))
-        b = self.breakpoints[i]
-        if x == b:
-            l, v, r = self.limits[i]
-            if side == LEFT:
-                return l
-            if side == RIGHT:
-                return r
-            if side == AT:
-                return v
+        if side not in _SIDES:
             raise ValueError(f"unknown side {side!r}")
-        if side not in (LEFT, AT, RIGHT):
-            raise ValueError(f"unknown side {side!r}")
-        return self.limits[i][2] + self.slopes[i] * (x - b)
+        return self.limits_at(x)[_SIDES.index(side)]
 
     # -- canonical form and equality --------------------------------------
 
@@ -164,9 +153,10 @@ def limit(fn: PwlPeriodic, x, side: str) -> Fraction:
     return fn.limit(x, side)
 
 
-# The largest grid n = m·q sampled or solved on.  Sampling costs n Fractions
-# and the extremality solver O(n^2) unit unions (about 18 million at n = 6,000),
-# so a larger grid would run for minutes.  gmic(9999/10000) needs n = 30,000.
+# The largest grid n = m·q sampled or solved on.  Sampling costs n Fractions,
+# and extremality is linear in n: extremality_test(gmic((d-1)/d)) took 0.58 s
+# at n = 30,000 and 5.0 s at n = 300,000 (2 CPUs, Python 3.11), so about 17 s
+# at the bound.
 MAX_GRID_N = 1_000_000
 
 
@@ -224,33 +214,26 @@ def affine_combine(a, fn1: PwlPeriodic, b, fn2: PwlPeriodic) -> PwlPeriodic:
         raise ValueError(f"cannot combine functions with f={fn1.f} and f={fn2.f}")
     a, b = Fraction(a), Fraction(b)
     bkpts = _merged_breakpoints(fn1, fn2)
-    trips = []
-    for x in bkpts:
-        trips.append(
-            tuple(
-                a * fn1.limit(x, s) + b * fn2.limit(x, s) for s in (LEFT, AT, RIGHT)
-            )
-        )
+    trips = [
+        tuple(a * u + b * v for u, v in zip(fn1.limits_at(x), fn2.limits_at(x))) for x in bkpts
+    ]
     return PwlPeriodic(fn1.f, bkpts, trips).canonicalize()
 
 
-def precompose_scale(fn: PwlPeriodic, lam) -> PwlPeriodic:
+def precompose_scale(fn: PwlPeriodic, lam: int) -> PwlPeriodic:
     """x -> fn(lam * x) for a nonzero integer lam (group automorphism).
 
     The new f is the smallest positive representative f' with
     lam * f' = fn.f (mod 1).
     """
-    lam = int(lam)
+    if type(lam) is not int:
+        raise ValueError(f"scale factor lam must be an integer, got {lam!r}")
     if lam == 0:
         raise ValueError("scale factor must be nonzero")
-    # Preimages of the breakpoints, reduced to [0,1).
+    # Preimages of the breakpoints, reduced to [0,1); a negative lam swaps
+    # the left and right limits.
     pre = sorted({((b + t) / lam) % 1 for b in fn.breakpoints for t in range(abs(lam))})
-    trips = []
-    for y in pre:
-        if lam > 0:
-            trips.append(tuple(fn.limit(lam * y, s) for s in (LEFT, AT, RIGHT)))
-        else:
-            trips.append(tuple(fn.limit(lam * y, s) for s in (RIGHT, AT, LEFT)))
+    trips = [fn.limits_at(lam * y)[::1 if lam > 0 else -1] for y in pre]
     f_new = min(((fn.f + t) / lam) % 1 for t in range(abs(lam)))
     return PwlPeriodic(f_new, pre, trips).canonicalize()
 
@@ -277,77 +260,40 @@ def compose_pwl(
             raise ValueError("inner breakpoints must be strictly increasing")
     if (ys[-1] - ys[0]).denominator != 1:
         raise ValueError("inner(1) - inner(0) must be an integer")
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
 
-    def inner_at(x: Fraction) -> Fraction:
-        i = bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
-            i -= 1
-        s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + s * (x - xs[i])
+    def preimages(c: Fraction):
+        """The x mod 1 with inner(x) = c (mod 1) on the pieces that are not constant."""
+        for x0, y0, y1, s in zip(xs, ys, ys[1:], slopes):
+            if s:
+                for t in range(ceil(min(y0, y1) - c), floor(max(y0, y1) - c) + 1):
+                    yield (x0 + (c + t - y0) / s) % 1
 
     # Breakpoints of the composite: inner's own plus preimages of outer's.
-    cut = set(x % 1 for x in xs[:-1])
-    for i in range(len(xs) - 1):
-        x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-        if y0 == y1:
-            continue
-        s = (y1 - y0) / (x1 - x0)
-        lo, hi = min(y0, y1), max(y0, y1)
-        for b in outer.breakpoints:
-            t0 = ceil(lo - b)
-            t1 = floor(hi - b)
-            for t in range(t0, t1 + 1):
-                x = x0 + (b + t - y0) / s
-                if x0 <= x <= x1:
-                    cut.add(x % 1)
-    bkpts = sorted(cut)
-
-    def piece_slope_sign(x: Fraction, side: str) -> int:
-        """Sign of inner's slope just left/right of x (periodically)."""
-        xx = x % 1
-        if side == RIGHT:
-            i = bisect_right(xs, xx) - 1
-            if i == len(xs) - 1:
-                i = 0
-        else:
-            if xx == 0:
-                xx = Fraction(1)
-            i = bisect_right(xs, xx) - 1
-            if xs[i] == xx:
-                i -= 1
-        s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return (s > 0) - (s < 0)
-
+    bkpts = sorted({*xs[:-1], *(x for b in outer.breakpoints for x in preimages(b))})
     trips = []
     for x in bkpts:
-        y = inner_at(x)
-        v = outer.limit(y, AT)
-        sgn_r = piece_slope_sign(x, RIGHT)
-        sgn_l = piece_slope_sign(x, LEFT)
-        r = outer.limit(y, RIGHT if sgn_r > 0 else LEFT if sgn_r < 0 else AT)
-        l = outer.limit(y, LEFT if sgn_l > 0 else RIGHT if sgn_l < 0 else AT)
-        trips.append((l, v, r))
+        # x < 1 = xs[-1], so x lies on piece i, [xs[i], xs[i + 1]).
+        i = bisect_right(xs, x) - 1
+        s_right = slopes[i]
+        s_left = slopes[i - 1] if x == xs[i] else s_right  # slopes[-1] wraps at 0
+        trip = outer.limits_at(ys[i] + s_right * (x - xs[i]))
+        # Where inner rises, outer is approached from the same side; where it falls, from the other.
+        trips.append((trip[1 - _sign(s_left)], trip[1], trip[1 + _sign(s_right)]))
 
     if f_new is None:
-        candidates = []
-        for i in range(len(xs) - 1):
-            x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-            if y0 == y1:
-                if (y0 - outer.f).denominator == 1:
-                    candidates.append(x0)
-                continue
-            s = (y1 - y0) / (x1 - x0)
-            lo, hi = min(y0, y1), max(y0, y1)
-            t0 = ceil(lo - outer.f)
-            t1 = floor(hi - outer.f)
-            for t in range(t0, t1 + 1):
-                x = x0 + (outer.f + t - y0) / s
-                if x0 <= x <= x1 and 0 < x % 1:
-                    candidates.append(x % 1)
+        candidates = [x for x in preimages(outer.f) if x]
+        candidates += [
+            x0 for x0, y0, s in zip(xs, ys, slopes) if not s and (y0 - outer.f).denominator == 1
+        ]
         if not candidates:
             raise ValueError("no preimage of outer.f available for the result's f")
         f_new = min(candidates)
     return PwlPeriodic(f_new, bkpts, trips).canonicalize()
+
+
+def _sign(s: Fraction) -> int:
+    return (s > 0) - (s < 0)
 
 
 class SlopeReport:
@@ -369,9 +315,8 @@ def slope_report(fn: PwlPeriodic) -> SlopeReport:
 
 def sup_norm_distance(fn1: PwlPeriodic, fn2: PwlPeriodic) -> Fraction:
     """Exact sup norm of fn1 - fn2 (values and one-sided limits)."""
-    pts = _merged_breakpoints(fn1, fn2)
-    best = Fraction(0)
-    for x in pts:
-        for s in (LEFT, AT, RIGHT):
-            best = max(best, abs(fn1.limit(x, s) - fn2.limit(x, s)))
-    return best
+    return max(
+        abs(u - v)
+        for x in _merged_breakpoints(fn1, fn2)
+        for u, v in zip(fn1.limits_at(x), fn2.limits_at(x))
+    )
