@@ -15,9 +15,10 @@ every breakpoint by q and runs in integers.  A face needs no polygon
 clipping: the lines x + y = c are parallel, so every vertex of F(I,J,K) lies
 on a side of the box I×J, where the strip x + y ∈ K cuts one interval with
 integer ends; walking the four sides lists the vertices in order, and their
-number gives the dimension.  Fractions are built only for the faces and
-vertices handed back to the caller; dividing by q > 0 keeps every order the
-kernel sorts by.
+number gives the dimension.  Each face is built once, by the one cell I×J
+that owns it, so no face is built twice and dropped as a duplicate.
+Fractions are built only for the faces and vertices handed back to the
+caller; dividing by q > 0 keeps every order the kernel sorts by.
 """
 
 from __future__ import annotations
@@ -136,24 +137,52 @@ def _ring(ix: IntInterval, iy: IntInterval, iz: IntInterval) -> List[IntPoint]:
 
     The lines x + y = z0 and x + y = z1 are parallel, so every vertex lies
     on a side of the box ix×iy, and on each side the part inside the strip
-    is one closed interval.  Walking the ends of these intervals along the
-    bottom, right, top and left sides lists the vertices in order.
+    is one closed interval [lo, hi].  Walking the ends of these intervals
+    along the bottom, right, top and left sides lists the vertices in order;
+    a point equal to the one before it, or the last equal to the first, is
+    a corner met twice and is listed once.
     """
     (x0, x1), (y0, y1), (z0, z1) = ix, iy, iz
-    walk: List[IntPoint] = []
-    lo, hi = max(x0, z0 - y0), min(x1, z1 - y0)
+    ring: List[IntPoint] = []
+    lo, hi = z0 - y0, z1 - y0
+    if lo < x0:
+        lo = x0
+    if hi > x1:
+        hi = x1
     if lo <= hi:
-        walk += [(lo, y0), (hi, y0)]
-    lo, hi = max(y0, z0 - x1), min(y1, z1 - x1)
+        ring.append((lo, y0))
+        if lo != hi:
+            ring.append((hi, y0))
+    lo, hi = z0 - x1, z1 - x1
+    if lo < y0:
+        lo = y0
+    if hi > y1:
+        hi = y1
     if lo <= hi:
-        walk += [(x1, lo), (x1, hi)]
-    lo, hi = max(x0, z0 - y1), min(x1, z1 - y1)
+        if not ring or ring[-1] != (x1, lo):
+            ring.append((x1, lo))
+        if lo != hi:
+            ring.append((x1, hi))
+    lo, hi = z0 - y1, z1 - y1
+    if lo < x0:
+        lo = x0
+    if hi > x1:
+        hi = x1
     if lo <= hi:
-        walk += [(hi, y1), (lo, y1)]
-    lo, hi = max(y0, z0 - x0), min(y1, z1 - x0)
+        if not ring or ring[-1] != (hi, y1):
+            ring.append((hi, y1))
+        if lo != hi:
+            ring.append((lo, y1))
+    lo, hi = z0 - x0, z1 - x0
+    if lo < y0:
+        lo = y0
+    if hi > y1:
+        hi = y1
     if lo <= hi:
-        walk += [(x0, hi), (x0, lo)]
-    ring = [p for i, p in enumerate(walk) if not i or p != walk[i - 1]]
+        if not ring or ring[-1] != (x0, hi):
+            ring.append((x0, hi))
+        if lo != hi:
+            ring.append((x0, lo))
     if len(ring) > 1 and ring[0] == ring[-1]:
         ring.pop()
     return ring
@@ -167,39 +196,78 @@ def _to_face(
     verts: Sequence[IntPoint],
     u: Callable[[IntPoint], Point],
 ) -> DeltaFace:
-    return DeltaFace(dim, u(ix), u(iy), u(iz), tuple(u(v) for v in verts))
+    return DeltaFace(dim, u(ix), u(iy), u(iz), tuple(map(u, verts)))
 
 
 def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     """All distinct faces of the complex, sorted by (dim, vertex list).
 
-    Triples (I, J, K) are visited with I and J in breakpoint-complex order
-    (points first, then intervals) and K in sorted order; a face is kept
-    with the first triple that produces its vertex set.  For each (I, J)
-    cell only the K faces that meet [min I + min J, max I + max J] are
-    visited: both ends of the K faces increase along the sorted list, so
-    those faces form one slice, found by bisection.
+    Each face is built once, as F(I, J, K) by the one cell I×J that owns it.
+    Its triple is the representative: the first triple that gives its
+    vertex set when I and J run in breakpoint-complex order (points first,
+    then intervals) and K in sorted order.  Scaled by q, the cell I×J has
+    the sum range [s0, s1] = [min I + min J, max I + max J].  Both ends of
+    the K faces increase along the sorted list, so each slice below is
+    found by bisection.
+
+    - A point cell (I and J points) takes the first K that meets s0.
+    - Any other cell takes each K whose relative interior meets (s0, s1).
+    - Such a cell whose I and J each are a point or end at q also takes
+      K = {s1}, for its far corner (x1, y1), which lies on x = q or y = q.
+
+    Why this builds each face once, with its representative triple.  Let P
+    be a face and I0, J0 the smallest faces of the breakpoint complex that
+    contain its projections.  Any triple that gives P has I ⊇ I0, and I is
+    I0 or an interval that contains the point I0 and so comes after it;
+    likewise for J.  Hence no cell before I0×J0 gives P, and I0×J0 does
+    (see ``find_face``).
+
+    - P meets the relative interior of exactly one cell, I0×J0, unless P
+      lies on x = q or y = q.  A projection of P is a breakpoint below q
+      (then I0 or J0 is that point), or its relative interior lies in that
+      of I0 or J0, or it is q, which is no point of the breakpoint complex.
+      The relative interiors of the cells are disjoint.  A P on x = q (the
+      case y = q is alike) is the far corner (q, max J0) of I0×J0: from a
+      point (q, y) with y < max J0 the box runs on along x + y = y + q to
+      smaller x, so P would leave the line.  J0 is then a point or ends at
+      q, so I0×J0 is the one cell that takes P, and no point cell
+      precedes it.
+    - Within I0×J0 exactly one K gives P.  The K whose relative interiors
+      meet (s0, s1) cut the open range into disjoint pieces, so each gives
+      a face of its own.  A K that misses (s0, s1) gives a corner: the one
+      at s0 is a point cell, and at s1, {s1} comes before (s1, b), the
+      other K that gives that corner alone.  A point cell is the
+      exception: every K of its slice gives the same vertex, and the first
+      K is the one kept.
     """
     q, pts = _scaled_breakpoints(fn)
     faces_xy = _interval_faces(pts, q)
     faces_z = _sum_faces(_sum_ends(pts, q))
     z_lo = [lo for lo, _ in faces_z]
     z_hi = [hi for _, hi in faces_z]
-    seen: Dict[Tuple[IntPoint, ...], Tuple] = {}
+    by_dim: Tuple[List, List, List] = ([], [], [])
     for ix in faces_xy:
+        x0, x1 = ix
         for iy in faces_xy:
-            first = bisect_left(z_hi, ix[0] + iy[0])
-            last = bisect_right(z_lo, ix[1] + iy[1])
+            y0, y1 = iy
+            if x0 == x1 and y0 == y1:
+                first = bisect_left(z_hi, x0 + y0)
+                last = first + 1
+            else:
+                first = bisect_right(z_hi, x0 + y0)
+                last = bisect_left(z_lo, x1 + y1)
+                if (x1 == q or x0 == x1) and (y1 == q or y0 == y1):
+                    last += 1
             for iz in faces_z[first:last]:
                 ring = _ring(ix, iy, iz)
-                if not ring:
-                    continue
-                verts = tuple(sorted(ring))
-                if verts not in seen:
-                    seen[verts] = (min(len(ring) - 1, 2), ix, iy, iz)
+                n = len(ring)
+                by_dim[2 if n > 2 else n - 1].append((tuple(sorted(ring)), ix, iy, iz))
     u = _unscaler(q)
-    order = sorted(seen, key=lambda verts: (seen[verts][0], verts))
-    return [_to_face(*seen[verts], verts, u) for verts in order]
+    faces = []
+    for dim, entries in enumerate(by_dim):
+        entries.sort()  # vertex tuples are distinct: no comparison goes past them
+        faces += [_to_face(dim, ix, iy, iz, verts, u) for verts, ix, iy, iz in entries]
+    return faces
 
 
 def face_ring(face: DeltaFace) -> List[Point]:
@@ -235,10 +303,12 @@ def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
     P ⊆ I′×J ∩ {x+y ∈ K} ⊆ P, so shrinking I to I′ leaves P unchanged; the
     same holds for J and K.  Hence P is cut out by the smallest elementary
     faces I0, J0, K0 containing its projections, which the vertices give,
-    and F(I0, J0, K0) is the only candidate.  The triple returned may be
-    smaller than the representative that ``enumerate_faces`` keeps for the
-    same vertex set; the vertices, and so every limit of Δπ along the face,
-    are the same.
+    and F(I0, J0, K0) is the only candidate.  The triple returned is the
+    representative that ``enumerate_faces`` keeps for the same vertex set,
+    except in K at the vertex of a point cell: there K0 is the point
+    {x + y}, and ``enumerate_faces`` keeps the first K of the cell's slice,
+    the interval that ends at x + y when x + y > 0.  The vertices, and so
+    every limit of Δπ along the face, are the same.
     """
     target = tuple(vertices)
     if not target:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
 from .complex2d import (
@@ -174,18 +173,37 @@ def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]
     """The first pair (i, j), i <= j, in ascending order of i and then j,
     with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.
 
-    Each row i is compared at once: iv[j] - iv[(i + j) mod n] for j >= i
-    against -iv[i], in list operations that run in C.
+    Each row i is checked at once, in a few big-integer operations: the
+    values, shifted by their minimum to a[j] >= 0, are packed into lanes of
+    w bits, and lane j of a[j] + (half + iv[i]) - a[(i + j) mod n] holds
+    half + iv[i] + iv[j] - iv[(i + j) mod n] with half = 2**(w - 1).  w is
+    chosen so that every lane stays inside (0, 2**w): no lane carries into
+    or borrows from the next, and the top bit of lane j is clear exactly
+    where (i, j) is a violation.  Only the first row with one is scanned
+    pair by pair.
     """
     n = len(iv)
-    doubled = list(iv) * 2
+    if not n:
+        return None
+    lo = min(iv)
+    a = [v - lo for v in iv]
+    nbytes = (max(a) + max(map(abs, iv))).bit_length() // 8 + 1
+    w = 8 * nbytes
+    half = 1 << (w - 1)
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+    packed, doubled, ones = pack(a), pack(a + a), pack([1] * n)
     for i in range(n):
-        start = 2 * i % n
-        diffs = list(map(sub, iv[i:], doubled[start:start + n - i]))
-        bound = -iv[i]
-        if min(diffs) < bound:
-            k = next(k for k, d in enumerate(diffs) if d < bound)
-            return i, i + k
+        shift = w * i
+        ones_i = ones >> shift  # a 1 in each lane j = i, ..., n - 1
+        rotated = (doubled >> (w * (2 * i % n))) & ((1 << (w * (n - i))) - 1)
+        lanes = (packed >> shift) + (half + iv[i]) * ones_i - rotated
+        high = ones_i << (w - 1)
+        if lanes & high != high:
+            vi = iv[i]
+            return i, next(j for j in range(i, n) if vi + iv[j] < iv[(i + j) % n])
     return None
 
 

@@ -249,7 +249,9 @@ def compose_pwl(
     ``inner_xs``/``inner_ys`` describe inner by its breakpoints (0 = xs[0],
     1 = xs[-1]) and values.  inner(1) - inner(0) must be an integer so the
     composite is well defined on R/Z.  The result's f defaults to the
-    smallest x in (0,1) with inner(x) = outer.f (mod 1).
+    smallest x in (0,1) with inner(x) = outer.f (mod 1); if inner is
+    constant and = outer.f on its first piece, no smallest x exists, and
+    f_new must be given.
     """
     xs = [Fraction(x) for x in inner_xs]
     ys = [Fraction(y) for y in inner_ys]
@@ -282,6 +284,11 @@ def compose_pwl(
         trips.append((trip[1 - _sign(s_left)], trip[1], trip[1 + _sign(s_right)]))
 
     if f_new is None:
+        if not slopes[0] and (ys[0] - outer.f).denominator == 1:
+            raise ValueError(
+                f"inner(x) = outer.f (mod 1) for every x in (0, {xs[1]}], so no smallest "
+                "such x exists; pass f_new"
+            )
         candidates = [x for x in preimages(outer.f) if x]
         candidates += [
             x0 for x0, y0, s in zip(xs, ys, slopes) if not s and (y0 - outer.f).denominator == 1

@@ -9,7 +9,7 @@ output.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .complex2d import (
     classify_additive,
@@ -24,8 +24,19 @@ from .pwl import PwlPeriodic
 _SCALE = 10**6
 
 
+class _Ratio(NamedTuple):
+    """numerator / denominator, not reduced; the denominator is positive."""
+
+    numerator: int
+    denominator: int
+
+
 def _fmt(x) -> str:
-    """Six-decimal truncation of a rational, computed in integers."""
+    """Six-decimal truncation of a rational, computed in integers.
+
+    x needs only ``numerator`` and ``denominator``, with a positive
+    denominator; the pair need not be in lowest terms.
+    """
     n = abs(x.numerator) * _SCALE // x.denominator
     sign = "-" if x.numerator < 0 and n else ""
     return f"{sign}{n // _SCALE}.{n % _SCALE:06d}"
@@ -128,11 +139,14 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
     margin = 90
     span = size - 2 * margin
 
+    # Pixel coordinates stay unreduced integer pairs; see _fmt.
     def px(x):
-        return margin + Fraction(x) * span
+        d = x.denominator
+        return _Ratio(margin * d + x.numerator * span, d)
 
     def py(y):
-        return size - margin - Fraction(y) * span
+        d = y.denominator
+        return _Ratio((size - margin) * d - y.numerator * span, d)
 
     svg = _Svg(size, size)
     faces = enumerate_faces(fn)
@@ -203,9 +217,14 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
     if y_lo == y_hi:
         y_hi = y_lo + 1
     band = margin - 20
+    # 10 + (y_hi - y) * scale, with y_hi = hn / hd and scale = sn / sd.
+    hn, hd = y_hi.numerator, y_hi.denominator
+    scale = band / (y_hi - y_lo)
+    sn, sd = scale.numerator, scale.denominator
 
     def gy(y):
-        return 10 + (y_hi - Fraction(y)) * band / (y_hi - y_lo)
+        d = hd * y.denominator * sd
+        return _Ratio(10 * d + (hn * y.denominator - y.numerator * hd) * sn, d)
 
     for x0, y0, x1, y1 in segs:
         svg.line(px(x0), gy(y0), px(x1), gy(y1), stroke="blue", width="2")

@@ -155,6 +155,18 @@ class TestComposePwl:
         assert fn(F(3, 5)) == 1
         assert fn(F(1, 10)) == gmic45(F(1, 5))
 
+    def test_constant_first_piece_at_f_needs_f_new(self, gmic45):
+        # inner = 4/5 = f on all of (0, 1/2]: no smallest preimage of f.
+        xs, ys = [0, F(1, 2), 1], [F(4, 5), F(4, 5), F(9, 5)]
+        with pytest.raises(ValueError, match=r"every x in \(0, 1/2\].*pass f_new"):
+            compose_pwl(gmic45, xs, ys)
+        assert compose_pwl(gmic45, xs, ys, f_new=F(1, 2)).f == F(1, 2)
+
+    def test_constant_later_piece_at_f_gives_its_start(self, gmic45):
+        # inner rises to f = 4/5 at x = 1/4 and stays there until 3/4.
+        fn = compose_pwl(gmic45, [0, F(1, 4), F(3, 4), 1], [0, F(4, 5), F(4, 5), 1])
+        assert fn.f == F(1, 4)
+
 
 class TestSupNorm:
     def test_zero_on_equal(self, gmic45):
