@@ -9,6 +9,7 @@ space computation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -20,6 +21,7 @@ from .minimality import (
     SYMMETRY,
     MinimalityVerdict,
     MinimalityWitness,
+    _slack_rows,
     first_subadditivity_violation,
     min_slack_ratio,
 )
@@ -71,15 +73,11 @@ def interpolate_to_infinite_group(g: FiniteGroupFn) -> PwlPeriodic:
     return interpolate_grid(g.values, g.q, g.f)
 
 
-def _scaled(g: FiniteGroupFn) -> Tuple[List[int], int]:
-    return scale_to_integers(g.values)
-
-
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
     """Minimality over the finite group, same witness conventions as the
     infinite test (locations reported as grid fractions)."""
     q = g.q
-    iv, denom = _scaled(g)
+    iv, denom = scale_to_integers(g.values)
     one = denom
     if iv[0] != 0:
         return MinimalityVerdict(False, MinimalityWitness(ORIGIN_VALUE, Fraction(0), g.values[0]))
@@ -126,21 +124,23 @@ class FiniteExtremalityVerdict:
     certificate: Optional[FiniteCertificate] = None
 
 
-def _additive_runs(iv: List[int], q: int) -> List[Tuple[str, int, int, int]]:
-    """Maximal horizontal runs of additive pairs (i, j), i scanned per j."""
+def _additive_runs(iv: List[int]) -> List[Tuple[str, int, int, int]]:
+    """Maximal runs ("h", j, lo, hi) of the tight pairs (i, j), lo <= i <= hi,
+    in order of j and then i.  Row j of ``_slack_rows`` from j0 = 0 holds
+    half + Δ(i, j) in lane i, so t = lanes ^ high is zero exactly at the tight
+    pairs; with low = half - 1 in each lane, ((t & low) + low) | t sets the
+    top bit of every other lane and carries into none.
+    """
+    q = len(iv)
+    nbytes, row = _slack_rows(iv)
+    high = row(0, 0)[1]
+    low = high - (high >> (8 * nbytes - 1))
     runs = []
     for j in range(q):
-        vj = iv[j]
-        start = None
-        for i in range(q):
-            tight = iv[i] + vj == iv[(i + j) % q]
-            if tight and start is None:
-                start = i
-            elif not tight and start is not None:
-                runs.append(("h", j, start, i - 1))
-                start = None
-        if start is not None:
-            runs.append(("h", j, start, q - 1))
+        t = row(j, 0)[0] ^ high
+        marks = (((t & low) + low) | t) & high
+        top = marks.to_bytes(q * nbytes, "little")[nbytes - 1 :: nbytes]
+        runs.extend(("h", j, m.start(), m.end() - 1) for m in re.finditer(b"\x00+", top))
     return runs
 
 
@@ -148,8 +148,8 @@ def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
     """Basis of grid perturbations additive on every tight pair of g."""
     from .solver import perturbation_space  # so that a restriction alone never loads the solver
 
-    iv, _ = _scaled(g)
-    runs = _additive_runs(iv, g.q)
+    iv, _ = scale_to_integers(g.values)
+    runs = _additive_runs(iv)
     return perturbation_space(g.q, g.f_index, runs)
 
 
@@ -157,9 +157,11 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
     """Extreme iff the only additive perturbation vanishing at 0 and f is 0.
 
     A certificate's endpoints g± = g ± ε·bar are minimal for ε half the least
-    slack / |Δbar| where Δbar ≠ 0 (1 if nowhere): Δg± >= 0 at every pair;
-    bar(0) = bar(f) = 0 and bar is additive on the tight pairs i + j = f;
-    and 0 = g±(q·i) <= q·g±(i).  A failed re-check raises.
+    slack / |Δbar| where Δbar ≠ 0: Δg± >= 0 at every pair; bar(0) = bar(f) = 0
+    and bar is additive on the tight pairs i + j = f; and
+    0 = g±(q·i) <= q·g±(i).  A failed re-check raises.  Δbar ≠ 0 somewhere:
+    a bar additive at every pair would be a homomorphism Z_q -> Q, hence 0,
+    and the solver returns no zero vector.
     """
     mv = finite_minimality_test(g)
     if not mv.minimal:
@@ -170,10 +172,10 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
 
     bar = basis[0]
     q = g.q
-    iv, dv = _scaled(g)
+    iv, dv = scale_to_integers(g.values)
     ib, db = scale_to_integers(bar)
     pair = min_slack_ratio(iv, ib)
-    eps = Fraction(1) if pair is None else Fraction(pair[0] * db, 2 * dv * pair[1])
+    eps = Fraction(pair[0] * db, 2 * dv * pair[1])
     g_plus = FiniteGroupFn(q, g.f_index, tuple(v + eps * b for v, b in zip(g.values, bar)))
     g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))
     if not (finite_minimality_test(g_plus).minimal and finite_minimality_test(g_minus).minimal):

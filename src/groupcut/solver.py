@@ -195,12 +195,7 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
     return [class_of_root[uf.find(t)] for t in range(n)]
 
 
-def perturbation_space(
-    n: int,
-    f_index: int,
-    runs: Iterable[Run],
-    pairs: Iterable[Tuple[int, int]] = (),
-) -> List[List[Fraction]]:
+def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[Fraction]]:
     """Basis of grid vectors e (length n) solving the additive system.
 
     All pair coordinates are grid indices in [0, n]; sums may reach 2n and
@@ -221,7 +216,6 @@ def perturbation_space(
             anchors.append((lo, c - lo))
         else:
             raise ValueError(f"unknown run kind {kind!r}")
-    anchors.extend(pairs)
     cls = _difference_classes(n, runs)
     n_classes = max(cls) + 1
     # t_c + 1 for the first step t_c of each class c.

@@ -29,7 +29,8 @@ from groupcut import (
     with_f_breakpoint,
 )
 from groupcut.extremality import _additive_face_runs
-from groupcut.finite import _additive_runs, _scaled
+from groupcut.finite import _additive_runs
+from groupcut.rational import scale_to_integers
 from groupcut.solver import _difference_classes, perturbation_space
 
 F = Fraction
@@ -48,9 +49,14 @@ def solver_input(fn, m=3):
     return n, int(fn.f * n), runs
 
 
+def pair_runs(pairs):
+    """Each extra pair (u, v) as the run ("h", v, u, u): its anchor, no relation."""
+    return [("h", v, u, u) for u, v in pairs]
+
+
 def assert_same_solution(n, f_index, runs, pairs=()):
     assert _difference_classes(n, runs) == ref.difference_classes(n, runs)
-    basis = perturbation_space(n, f_index, runs, pairs)
+    basis = perturbation_space(n, f_index, [*runs, *pair_runs(pairs)])
     assert basis == ref.perturbation_space(n, f_index, runs, pairs)
     assert all(type(x) is Fraction for row in basis for x in row)
     return basis
@@ -96,7 +102,7 @@ def test_face_runs_match_fraction_expansion(name):
 def test_finite_restriction_matches_reference(name):
     fn = FIXTURES[name]
     g = restrict_to_finite_group(fn, fn.denominator_lcm(), 3)
-    runs = _additive_runs(_scaled(g)[0], g.q)
+    runs = _additive_runs(scale_to_integers(g.values)[0])
     basis = assert_same_solution(g.q, g.f_index, runs)
     assert finite_perturbation_basis(g) == basis
 

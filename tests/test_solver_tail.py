@@ -27,7 +27,7 @@ from groupcut import (
 )
 from groupcut.serialize import certificate_json, dumps, extremality_verdict_json
 from groupcut.solver import _difference_classes, perturbation_space
-from test_solver_reference import CASES, FIXTURES, SYNTHETIC, run_lists, solver_input
+from test_solver_reference import CASES, FIXTURES, SYNTHETIC, pair_runs, run_lists, solver_input
 
 F = Fraction
 
@@ -39,7 +39,7 @@ def midpoint(q, num):
 
 
 def assert_same_as_tail(n, f_index, runs, pairs=()):
-    basis = perturbation_space(n, f_index, runs, pairs)
+    basis = perturbation_space(n, f_index, [*runs, *pair_runs(pairs)])
     assert basis == tail.perturbation_space(n, f_index, runs, pairs)
     assert all(type(x) is Fraction for row in basis for x in row)
     return basis
