@@ -18,13 +18,16 @@ integer ends; walking the four sides lists the vertices in order, and their
 number gives the dimension.  Each face is built once, by the one cell I×J
 that owns it, so no face is built twice and dropped as a duplicate.
 Fractions are built only for the faces and vertices handed back to the
-caller; dividing by q > 0 keeps every order the kernel sorts by.
+caller; dividing by q > 0 keeps every order the kernel sorts by.  The
+additivity classification scales each vertex it reads back to integers
+once, and the report carries the integer vertices of the additive faces on
+to the covered intervals and to the grid runs of the extremality test.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -461,6 +464,36 @@ def _is_additive_with_limits(fn: PwlPeriodic, face: DeltaFace) -> bool:
     return delta_pi(fn, sum(x for x, _ in verts) / n, sum(y for _, y in verts) / n) == 0
 
 
+def _additive_scaled(
+    fn: PwlPeriodic, faces: Sequence[DeltaFace]
+) -> Tuple[int, List[DeltaFace], List[Tuple[IntPoint, ...]]]:
+    """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
+    their vertices scaled by q, each scaled once."""
+    q = fn.denominator_lcm()
+    kept: List[DeltaFace] = []
+    scaled: List[Tuple[IntPoint, ...]] = []
+    if not fn.is_continuous():
+        for face in faces:
+            if _is_additive_with_limits(fn, face):
+                kept.append(face)
+                scaled.append(tuple((_scale(x, q), _scale(y, q)) for x, y in face.vertices))
+        return q, kept, scaled
+    _, verts = scaled_vertices(fn)
+    slacks, _ = scaled_slacks(fn, q, verts)
+    zero = {v for v, s in zip(verts, slacks) if not s}
+    for face in faces:
+        sv = []
+        for x, y in face.vertices:
+            v = (_scale(x, q), _scale(y, q))
+            if (v[0] % q, v[1] % q) not in zero:
+                break
+            sv.append(v)
+        else:
+            kept.append(face)
+            scaled.append(tuple(sv))
+    return q, kept, scaled
+
+
 def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[DeltaFace]:
     """The faces (of ``enumerate_faces(fn)``) on whose relative interior Δπ
     vanishes, in their given order.
@@ -471,35 +504,24 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
     vertex is looked up by its coordinates mod 1, and the cost follows the
     number of vertices, not q.
     """
-    if not fn.is_continuous():
-        return [face for face in faces if _is_additive_with_limits(fn, face)]
-    q, verts = scaled_vertices(fn)
-    slacks, _ = scaled_slacks(fn, q, verts)
-    zero = {v for v, s in zip(verts, slacks) if not s}
-    return [
-        face
-        for face in faces
-        if all((_scale(x, q) % q, _scale(y, q) % q) in zero for x, y in face.vertices)
-    ]
+    return _additive_scaled(fn, faces)[1]
 
 
-def _merge_intervals(intervals: List[Interval]) -> Tuple[Interval, ...]:
-    merged: List[List[Fraction]] = []
+def _projections(verts: Sequence[IntPoint]) -> Tuple[int, int, int, int, int, int]:
+    """min and max of x, of y and of x + y over the vertices."""
+    xs, ys = zip(*verts)
+    zs = [x + y for x, y in verts]
+    return min(xs), max(xs), min(ys), max(ys), min(zs), max(zs)
+
+
+def _merge_intervals(intervals: List[IntInterval]) -> List[List[int]]:
+    merged: List[List[int]] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
-
-
-def _reduce_mod_1(lo: Fraction, hi: Fraction) -> List[Interval]:
-    """Reduce an interval of sums (inside [0,2]) to [0,1] pieces."""
-    if hi <= 1:
-        return [(lo, hi)]
-    if lo >= 1:
-        return [(lo - 1, hi - 1)]
-    return [(lo, Fraction(1)), (Fraction(0), hi - 1)]
+    return merged
 
 
 @dataclass(frozen=True)
@@ -513,6 +535,12 @@ class AdditivityReport:
     additive_faces: Tuple[DeltaFace, ...]
     covered_intervals: Tuple[Interval, ...]
     f: Fraction
+    # q and the vertices of each additive face scaled by q, in order: the
+    # grid runs of the extremality test read them instead of scaling the
+    # Fractions again.
+    _scaled: Optional[Tuple[int, Tuple[Tuple[IntPoint, ...], ...]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def maximal_faces(self) -> Tuple[DeltaFace, ...]:
@@ -543,19 +571,28 @@ class AdditivityReport:
 
 
 def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
-    """Classify the additive part of the complex and the covered intervals."""
-    additive = classify_additive(fn, enumerate_faces(fn))
-    covered: List[Interval] = []
-    for face in additive:
-        if face.dim != 2:
+    """Classify the additive part of the complex and the covered intervals.
+
+    The covered intervals are the projections p1, p2 and p3 (mod 1) of the
+    2-D additive faces, merged in integers and divided by q once.  0 is a
+    breakpoint, so 1 is a vertex of the sums, and p3 lies in [0, 1] or in
+    [1, 2].
+    """
+    q, additive, scaled = _additive_scaled(fn, enumerate_faces(fn))
+    covered: List[IntInterval] = []
+    for verts in scaled:
+        if len(verts) < 3:
             continue
-        covered.append(face.p1)
-        covered.append(face.p2)
-        covered.extend(_reduce_mod_1(*face.p3))
+        x0, x1, y0, y1, z0, z1 = _projections(verts)
+        t = q if z0 >= q else 0
+        covered += [(x0, x1), (y0, y1), (z0 - t, z1 - t)]
     return AdditivityReport(
         additive_faces=tuple(additive),
-        covered_intervals=_merge_intervals(covered),
+        covered_intervals=tuple(
+            (Fraction(lo, q), Fraction(hi, q)) for lo, hi in _merge_intervals(covered)
+        ),
         f=fn.f,
+        _scaled=(q, tuple(scaled)),
     )
 
 

@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import (
     AdditivityReport,
-    DeltaFace,
-    _scale,
+    _projections,
     additivity_report,
     scaled_slacks,
     scaled_vertices,
@@ -55,30 +54,32 @@ class ExtremalityVerdict:
     certificate: Optional[PerturbationCertificate] = None
 
 
-def _additive_face_runs(faces: Sequence[DeltaFace], n: int) -> List[Run]:
+def _additive_face_runs(report: AdditivityReport, n: int) -> List[Run]:
     """Unit-step runs covering every grid pair inside the additive faces.
 
-    Face vertices lie on (1/q)Z and q | n, so all scaled coordinates are
-    integers and two-dimensional faces decompose exactly into grid rows;
-    the rows are computed in integer arithmetic.
+    The report holds each face's vertices scaled by q, and q | n, so the
+    grid coordinates are those integers times m = n/q.  A face with one
+    vertex is a point and one with two a segment; a 2-D face is
+    {x in p1, y in p2, x + y in p3} for its vertex projections p1, p2 and
+    p3, and decomposes exactly into grid rows.
     """
+    q, faces = report._scaled
+    m = n // q
     runs: List[Run] = []
-    for face in faces:
-        if face.dim == 0:
-            (x, y), = face.vertices
-            runs.append(("h", _scale(y, n), _scale(x, n), _scale(x, n)))
-        elif face.dim == 1:
-            (x0, y0), (x1, y1) = face.vertices
+    for verts in faces:
+        if len(verts) == 1:
+            (x, y), = verts
+            runs.append(("h", m * y, m * x, m * x))
+        elif len(verts) == 2:
+            (x0, y0), (x1, y1) = verts
             if y0 == y1:
-                runs.append(("h", _scale(y0, n), _scale(x0, n), _scale(x1, n)))
+                runs.append(("h", m * y0, m * x0, m * x1))
             elif x0 == x1:
-                runs.append(("v", _scale(x0, n), _scale(min(y0, y1), n), _scale(max(y0, y1), n)))
+                runs.append(("v", m * x0, m * min(y0, y1), m * max(y0, y1)))
             else:
-                runs.append(("d", _scale(x0 + y0, n), *sorted((_scale(x0, n), _scale(x1, n)))))
+                runs.append(("d", m * (x0 + y0), m * min(x0, x1), m * max(x0, x1)))
         else:
-            x_lo, x_hi = (_scale(v, n) for v in face.interval_x)
-            y_lo, y_hi = (_scale(v, n) for v in face.interval_y)
-            z_lo, z_hi = (_scale(v, n) for v in face.interval_z)
+            x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = (m * v for v in _projections(verts))
             for j in range(y_lo, y_hi + 1):
                 lo = max(x_lo, z_lo - j)
                 hi = min(x_hi, z_hi - j)
@@ -93,11 +94,14 @@ def _additive_system(
     """fn with f as a breakpoint, the grid n = oversampling·q, the index of f
     on it, the additivity report and the additive runs on the grid.
 
-    A discontinuous fn, an oversampling factor below 3 and a grid n above
-    ``MAX_GRID_N`` are refused before the minimality test runs.
+    A discontinuous fn, an oversampling factor that is not an ``int`` or is
+    below 3, and a grid n above ``MAX_GRID_N`` are refused before the
+    minimality test runs.
     """
     if not fn.is_continuous():
         raise ValueError("extremality test supports continuous functions only")
+    if type(oversampling) is not int:
+        raise ValueError(f"oversampling must be an integer, got {oversampling!r}")
     if oversampling < 3:
         raise ValueError("oversampling factor must be at least 3")
     n = oversampling * fn.denominator_lcm()
@@ -107,7 +111,7 @@ def _additive_system(
         raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
     fn = with_f_breakpoint(fn)
     report = additivity_report(fn)
-    return fn, n, int(fn.f * n), report, _additive_face_runs(report.additive_faces, n)
+    return fn, n, int(fn.f * n), report, _additive_face_runs(report, n)
 
 
 def restriction_additive_pairs(fn: PwlPeriodic, oversampling: int = 3):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .minimality import (
     NEGATIVITY,
@@ -52,6 +53,13 @@ class FiniteGroupFn:
     def f(self) -> Fraction:
         return Fraction(self.f_index, self.q)
 
+    @cached_property
+    def _integers(self) -> Tuple[Tuple[int, ...], int]:
+        """(ints, d): the values times d, the lcm of their denominators,
+        scaled once for every test that reads them."""
+        iv, d = scale_to_integers(self.values)
+        return tuple(iv), d
+
 
 def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroupFn:
     """Sample fn on (1/(mq))Z for integers q, m >= 1; f must lie on it, and
@@ -77,7 +85,7 @@ def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
     """Minimality over the finite group, same witness conventions as the
     infinite test (locations reported as grid fractions)."""
     q = g.q
-    iv, denom = scale_to_integers(g.values)
+    iv, denom = g._integers
     one = denom
     if iv[0] != 0:
         return MinimalityVerdict(False, MinimalityWitness(ORIGIN_VALUE, Fraction(0), g.values[0]))
@@ -124,7 +132,7 @@ class FiniteExtremalityVerdict:
     certificate: Optional[FiniteCertificate] = None
 
 
-def _additive_runs(iv: List[int]) -> List[Tuple[str, int, int, int]]:
+def _additive_runs(iv: Sequence[int]) -> List[Tuple[str, int, int, int]]:
     """Maximal runs ("h", j, lo, hi) of the tight pairs (i, j), lo <= i <= hi,
     in order of j and then i.  Row j of ``_slack_rows`` from j0 = 0 holds
     half + Δ(i, j) in lane i, so t = lanes ^ high is zero exactly at the tight
@@ -148,8 +156,7 @@ def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
     """Basis of grid perturbations additive on every tight pair of g."""
     from .solver import perturbation_space  # so that a restriction alone never loads the solver
 
-    iv, _ = scale_to_integers(g.values)
-    runs = _additive_runs(iv)
+    runs = _additive_runs(g._integers[0])
     return perturbation_space(g.q, g.f_index, runs)
 
 
@@ -161,7 +168,8 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
     and bar is additive on the tight pairs i + j = f; and
     0 = g±(q·i) <= q·g±(i).  A failed re-check raises.  Δbar ≠ 0 somewhere:
     a bar additive at every pair would be a homomorphism Z_q -> Q, hence 0,
-    and the solver returns no zero vector.
+    and the solver returns no zero vector.  The values of g are scaled to
+    integers once, for the minimality test, the basis and ε alike.
     """
     mv = finite_minimality_test(g)
     if not mv.minimal:
@@ -172,7 +180,7 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
 
     bar = basis[0]
     q = g.q
-    iv, dv = scale_to_integers(g.values)
+    iv, dv = g._integers
     ib, db = scale_to_integers(bar)
     pair = min_slack_ratio(iv, ib)
     eps = Fraction(pair[0] * db, 2 * dv * pair[1])

@@ -21,24 +21,42 @@ grid, an ``h`` or ``v`` run of shift s relates g(i) ~ g(i + s) for i in
 one run per grid row, with shifts s and s + 1 on neighbouring rows, so the
 lemma is recovered from the runs instead of being emitted:
 
-1. Where the i-ranges of shifts s and s + 1 overlap on [a, b), the chain
+The steps are united in whole ranges, in three passes:
+
+1. Every shift's i-ranges are merged in one sort; touching ranges merge,
+   since their relations then form one range.  Where the i-ranges of
+   shifts s and s + 1 overlap on [a, b), the chain
    g(i + s) ~ g(i) ~ g(i + s + 1) links every step of a + s .. b + s to its
-   predecessor.  Links are made through skip pointers ("next step not yet
-   linked to its predecessor"), so all links together cost O(n α(n)).
-2. The i-ranges of each shift are merged first.  A run whose target steps
-   are already linked into one range links its source steps and makes one
-   union; so does a run whose source steps are.
-3. Only a run where neither range is linked unites step by step.
+   predecessor.  These links are merged in one more sort into stretches,
+   and each stretch becomes one class, rooted at its first step, by one
+   slice assignment of the parent array.  Link 0 joins step n - 1 to step 0.
+2. A relation is a merged i-range of a shift, or a ``d`` run.  If one of
+   its sides lies in one class of (1), the relation needs only that the
+   other side be linked into one class and one union of its first steps.
+   The test is O(1): over the steps 0 .. 2n - 1, with the stretches laid
+   out twice and the last joined to the copy of the first through link 0,
+   each class of (1) is one range with a label of its own, and a side lies
+   in it when its two ends carry the same label.  The other sides of all
+   such relations are merged in one sort, and each merged range is united
+   at once: a slice of the parent array gives the roots its steps reach,
+   all of them point at the smallest, and one slice assignment flattens
+   the range.
+3. Only a relation neither of whose sides lies in one class of (1) unites
+   step by step.  Steps past the n-th of a relation repeat the first n.
 
 *Partition identity.*  Let ~ be the equivalence generated by the runs'
-unit relations.  Every link of (1) is two relations of ~, and the links and
-the union of (2) follow from the run's relations and links made earlier, so
-nothing is united that ~ does not unite.  Conversely, after (2) each source
-step i is linked to lo, lo is united with its partner, and the partner is
-linked to the partner of i, so every relation of the run holds; (3) makes
-the relations themselves.  So the partition is that of ~.  Unions keep the
-smaller root, so each class is rooted at its first step and classes are
-numbered in order of first occurrence, which the partition alone fixes.
+unit relations.  Every link of (1) is two relations of ~.  In (2) the
+tested side lies in one class of ~ by the links of (1) alone, so the
+relation makes the steps of its other side ~ each other and its first
+steps ~; every link and union of (2) follows from ~ and (1), in whatever
+order they are made, so nothing is united that ~ does not unite.
+Conversely, after (2) each step src + k is in the class of src, src in
+that of its partner, and the partner in that of the partner of src + k,
+so every relation holds; (3) makes the relations themselves.  So the
+partition is that of ~.  Unions keep the smaller root, so every parent is
+at or left of its step and each class is rooted at its first step, and one
+pass left to right over the parents numbers the classes in order of first
+occurrence, which the partition alone fixes.
 
 *Basis in class space.*  A solution is a vector γ over the classes, lifted
 to e(t) = Σ_{s<t} γ(cls(s)); let t_c be the first step of class c and
@@ -67,10 +85,10 @@ only the basis entries, the lifted vectors over d, are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .complex2d import _merge_intervals
 from .rational import integer_nullspace, integer_rref
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
@@ -79,74 +97,38 @@ from .rational import integer_nullspace, integer_rref
 Run = Tuple[str, int, int, int]
 
 
-class _UnionFind:
-    """Union-find over the n cyclic unit steps, with skip pointers over the
-    links t - 1 ~ t between neighbouring steps."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.parent = list(range(n))
-        # skip leads from t to the first step >= t not yet linked to its
-        # predecessor; n is the sentinel.
-        self.skip = list(range(n + 1))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def _unlinked(self, t: int) -> int:
-        skip = self.skip
-        root = t
-        while skip[root] != root:
-            root = skip[root]
-        while skip[t] != root:
-            skip[t], t = root, skip[t]
-        return root
-
-    def _pieces(self, a: int, b: int) -> List[Tuple[int, int]]:
-        """The links a+1 .. b (mod n) of the steps a .. b, as ranges [x, y)
-        inside [0, n)."""
-        n = self.n
-        if b - a >= n:
-            return [(0, n)]
-        x = (a + 1) % n
-        y = x + b - a
-        return [(x, y)] if y <= n else [(x, n), (0, y - n)]
-
-    def linked(self, a: int, b: int) -> bool:
-        """Whether the steps a .. b (mod n, a <= b) are linked into one range."""
-        return all(self._unlinked(x) >= y for x, y in self._pieces(a, b))
-
-    def link(self, a: int, b: int) -> None:
-        """Unite the steps a .. b (mod n, a <= b) through neighbour links."""
-        n = self.n
-        for x, y in self._pieces(a, b):
-            t = self._unlinked(x)
-            while t < y:
-                self.union((t - 1) % n, t)
-                self.skip[t] = t + 1
-                t = self._unlinked(t + 1)
+def _pieces(n: int, a: int, last: int) -> List[Tuple[int, int]]:
+    """The links a+1 .. a+last (mod n) of the steps a .. a+last, as ranges
+    [x, y) inside [0, n); link t joins step t - 1 (mod n) to step t."""
+    if last >= n:
+        return [(0, n)]
+    if not last:
+        return []
+    x = (a + 1) % n
+    y = x + last
+    return [(x, y)] if y <= n else [(x, n), (0, y - n)]
 
 
-def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
-    """Class index of every unit step, classes numbered by first step."""
-    uf = _UnionFind(n)
-    # shifts[s]: ranges [lo, hi) of i with g(i) ~ g(i + s); touching ranges
-    # merge, since their relations then form one range.  mirrors: the d
-    # runs, as relations of (2) with g(i) ~ g(c - 1 - i).
-    shifts: Dict[int, Sequence[Tuple[int, int]]] = {0: [(0, n)]}
+def _merged(ranges: Iterable[Tuple[int, int]]) -> List[List[int]]:
+    """[lo, hi) ranges in one sort, those that overlap or touch merged."""
+    out: List[List[int]] = []
+    for lo, hi in sorted(ranges):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1][1] = hi
+        else:
+            out.append([lo, hi])
+    return out
+
+
+def _shifts(
+    n: int, runs: Sequence[Run]
+) -> Tuple[Dict[int, List[List[int]]], List[Tuple[int, int, int, int]]]:
+    """(shifts, mirrors).  shifts[s] holds the i-ranges [lo, hi) with
+    g(i) ~ g(i + s), every shift's in one sort, and shift 0 over the circle,
+    which makes shifts 1 and n - 1 neighbour links in (1).  mirrors holds
+    the d runs as relations (lo, c - 1 - lo, -1, hi - lo)."""
+    ranges = [(0, 0, n)]
     mirrors: List[Tuple[int, int, int, int]] = []
     for kind, c, lo, hi in runs:
         if lo >= hi:
@@ -154,45 +136,119 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
         if kind == "d":
             mirrors.append((lo, c - 1 - lo, -1, hi - lo))
         else:
-            shifts.setdefault(c % n, []).append((lo, hi))
-    shifts = {s: _merge_intervals(ranges) for s, ranges in shifts.items()}
+            ranges.append((c % n, lo, hi))
+    ranges.sort()
+    shifts: Dict[int, List[List[int]]] = {}
+    for s, lo, hi in ranges:
+        mine = shifts.get(s)
+        if mine is None:
+            shifts[s] = [[lo, hi]]
+        elif lo <= mine[-1][1]:
+            if hi > mine[-1][1]:
+                mine[-1][1] = hi
+        else:
+            mine.append([lo, hi])
+    return shifts, mirrors
 
-    # (1) Neighbouring shifts over a common range link their targets.
-    for s, ranges in shifts.items():
+
+def _stretches(n: int, shifts: Dict[int, List[List[int]]]) -> List[List[int]]:
+    """(1): the links of the targets of neighbouring shifts over a common
+    range, merged into stretches [x, y)."""
+    links: List[Tuple[int, int]] = []
+    for s, mine in shifts.items():
         other = shifts.get((s + 1) % n)
         if other is None:
             continue
         i = j = 0
-        while i < len(ranges) and j < len(other):
-            a = max(ranges[i][0], other[j][0])
-            b = min(ranges[i][1], other[j][1])
-            if a < b:
-                uf.link(a + s, b + s)
-            if ranges[i][1] < other[j][1]:
+        ni, nj = len(mine), len(other)
+        while i < ni and j < nj:
+            (a, b), (c, d) = mine[i], other[j]
+            if b < d:
                 i += 1
             else:
                 j += 1
+            if c > a:
+                a = c
+            if d < b:
+                b = d
+            if a < b:
+                links += _pieces(n, a + s, b - a)
+    return _merged(links)
 
-    # (2) A linked source or target costs one union; (3) else unit steps.
-    # A relation (src, dst, sign, length) relates the steps src + k and
+
+def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
+    """Class index of every unit step, classes numbered by first step."""
+    shifts, mirrors = _shifts(n, runs)
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+
+    # (1) Each stretch [x, y) of links makes the steps x - 1 .. y - 1 one
+    # class.  ext labels the steps 0 .. 2n - 1: the steps a .. a + last
+    # (0 <= a < n, last < n) lie in one class of (1) when
+    # ext[a] == ext[a + last].  Link 0 joins step n - 1 to step 0.
+    stretches = _stretches(n, shifts)
+    for x, y in stretches:
+        lo = x - 1 if x else 0
+        parent[lo:y] = [lo] * (y - lo)
+    ext = parent + [r + n for r in parent]
+    if stretches and not stretches[0][0]:
+        y = stretches[0][1]
+        ext[n : n + y] = [parent[n - 1]] * y
+        union(n - 1, 0)
+
+    # (2) and (3), in any order, since only the partition counts.  A
+    # relation (src, dst, sign, length) relates the steps src + k and
     # dst + sign * k for k < length.
-    relations = [(a, a + s, 1, b - a) for s, ranges in shifts.items() if s for a, b in ranges]
-    for src, dst, sign, length in relations + mirrors:
-        last = length - 1
-        dst_lo = min(dst, dst + sign * last)
-        if uf.linked(dst_lo, dst_lo + last):
-            uf.link(src, src + last)
-        elif uf.linked(src, src + last):
-            uf.link(dst_lo, dst_lo + last)
+    relations = ((a, a + s, 1, b - a) for s, mine in shifts.items() if s for a, b in mine)
+    linked: List[Tuple[int, int]] = []
+    for src, dst, sign, length in chain(relations, mirrors):
+        last = min(length, n) - 1
+        a = src % n
+        b = (dst if sign > 0 else dst - last) % n
+        if ext[b] == ext[b + last]:
+            linked += _pieces(n, a, last)
+        elif ext[a] == ext[a + last]:
+            linked += _pieces(n, b, last)
         else:
-            for k in range(length):
-                uf.union((src + k) % n, (dst + sign * k) % n)
+            for k in range(last + 1):
+                union((a + k) % n, (dst + sign * k) % n)
             continue
-        uf.union(src % n, dst % n)
+        union(a, dst % n)
+    for x, y in _merged(linked):
+        lo = x - 1 if x else 0
+        roots = {find(t) for t in set(parent[lo:y])}
+        if not x:
+            roots.add(find(n - 1))
+        r = min(roots)
+        for t in roots:
+            parent[t] = r
+        parent[lo:y] = [r] * (y - lo)
 
-    roots = sorted({uf.find(t) for t in range(n)})
-    class_of_root = {r: idx for idx, r in enumerate(roots)}
-    return [class_of_root[uf.find(t)] for t in range(n)]
+    # Every parent is at or left of its step, so the pass reads the class
+    # of a step's parent before the step.
+    cls = [0] * n
+    count = 0
+    for t, p in enumerate(parent):
+        if p == t:
+            cls[t] = count
+            count += 1
+        else:
+            cls[t] = cls[p]
+    return cls
 
 
 def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[Fraction]]:

@@ -154,3 +154,9 @@ class TestRefusedBeforeWork:
     def test_small_oversampling(self, gmic45, entry):
         with pytest.raises(ValueError, match="oversampling factor must be at least 3"):
             entry(gmic45, oversampling=2)
+
+    @pytest.mark.parametrize("oversampling", [3.0, F(7, 2), F(3), True, "3"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_non_integer_oversampling(self, gmic45, entry, oversampling):
+        with pytest.raises(ValueError, match="oversampling must be an integer"):
+            entry(gmic45, oversampling=oversampling)

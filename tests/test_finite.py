@@ -118,3 +118,23 @@ class TestFiniteExtremality:
                 for j in range(i, q):
                     if g.values[i] + g.values[j] == g.values[(i + j) % q]:
                         assert vec[i] + vec[j] == vec[(i + j) % q]
+
+    def test_values_scaled_once(self, combo, monkeypatch):
+        """g's values are scaled to integers once, not once each by the
+        minimality test, the basis and ε; bar and the re-checked g± are
+        scaled once each."""
+        from groupcut import finite
+
+        scaled = []
+        real = finite.scale_to_integers
+
+        def counted(values):
+            scaled.append(values)
+            return real(values)
+
+        monkeypatch.setattr(finite, "scale_to_integers", counted)
+        g = restrict_to_finite_group(combo, combo.denominator_lcm(), m=3)
+        verdict = finite_extremality_test(g)
+        assert not verdict.extreme
+        assert sum(values is g.values for values in scaled) == 1
+        assert len(scaled) == 4

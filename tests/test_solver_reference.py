@@ -45,7 +45,7 @@ def solver_input(fn, m=3):
     """The solver's arguments for fn on the grid (1/(mq))Z."""
     fn = with_f_breakpoint(fn)
     n = m * fn.denominator_lcm()
-    runs = _additive_face_runs(additivity_report(fn).additive_faces, n)
+    runs = _additive_face_runs(additivity_report(fn), n)
     return n, int(fn.f * n), runs
 
 
@@ -92,10 +92,10 @@ def test_fixture_matches_reference(name, m):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_face_runs_match_fraction_expansion(name):
     fn = with_f_breakpoint(FIXTURES[name])
-    faces = additivity_report(fn).additive_faces
+    report = additivity_report(fn)
     for m in (3, 4):
         n = m * fn.denominator_lcm()
-        assert _additive_face_runs(faces, n) == ref.additive_face_runs(faces, n)
+        assert _additive_face_runs(report, n) == ref.additive_face_runs(report.additive_faces, n)
 
 
 @pytest.mark.parametrize("name", ["psi_1", "psi_2", "psm", "combo_k1", "combo_k2"])
