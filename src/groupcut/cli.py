@@ -68,8 +68,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
-    from .compendium import construct
+    from .compendium import REGISTRY, construct
 
+    if args.name not in REGISTRY:
+        raise InputError(f"unknown family {args.name!r}")
     params = {}
     if args.f is not None:
         params["f"] = rat_parse(args.f)
@@ -89,7 +91,9 @@ def _cmd_construct(args) -> int:
         params["s_minus"] = rat_parse(args.s_minus)
     try:
         fn = construct(args.name, **params)
-    except (KeyError, NotImplementedError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"family {args.name!r} needs parameter {exc.args[0]!r}")
+    except NotImplementedError as exc:
         raise InputError(str(exc))
     _emit(serialize.dumps(serialize.serialize_pwl(fn)), args.output)
     return 0
@@ -123,11 +127,7 @@ def _cmd_test_minimality(args) -> int:
 def _cmd_test_extremality(args) -> int:
     from .extremality import extremality_test
 
-    fn = _load_pwl(args.function)
-    try:
-        verdict = extremality_test(fn, oversampling=args.oversampling)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    verdict = extremality_test(_load_pwl(args.function), oversampling=args.oversampling)
     _emit(serialize.dumps(serialize.extremality_verdict_json(verdict)), args.output)
     if args.certificate is not None:
         if verdict.certificate is None:
@@ -140,11 +140,7 @@ def _cmd_test_extremality(args) -> int:
 def _cmd_restrict(args) -> int:
     from .finite import restrict_to_finite_group
 
-    fn = _load_pwl(args.function)
-    try:
-        g = restrict_to_finite_group(fn, args.q, m=args.m)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    g = restrict_to_finite_group(_load_pwl(args.function), args.q, m=args.m)
     _emit(serialize.dumps(serialize.serialize_finite(g)), args.output)
     return 0
 
@@ -158,25 +154,22 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    try:
-        if args.operation == "scale":
-            fn = precompose_scale(_load_pwl(args.function), args.lam)
-        elif args.operation == "negate":
-            fn = precompose_scale(_load_pwl(args.function), -1)
-        elif args.operation == "combine":
-            if args.other is None or args.a is None or args.b is None:
-                raise InputError("combine requires --a, --b and --other")
-            fn = affine_combine(
-                rat_parse(args.a), _load_pwl(args.function), rat_parse(args.b), _load_pwl(args.other)
-            )
-        elif args.operation == "projected_sequential_merge":
-            from .compendium import projected_sequential_merge
+    if args.operation == "scale":
+        fn = precompose_scale(_load_pwl(args.function), args.lam)
+    elif args.operation == "negate":
+        fn = precompose_scale(_load_pwl(args.function), -1)
+    elif args.operation == "combine":
+        if args.other is None or args.a is None or args.b is None:
+            raise InputError("combine requires --a, --b and --other")
+        fn = affine_combine(
+            rat_parse(args.a), _load_pwl(args.function), rat_parse(args.b), _load_pwl(args.other)
+        )
+    elif args.operation == "projected_sequential_merge":
+        from .compendium import projected_sequential_merge
 
-            fn = projected_sequential_merge(_load_pwl(args.function), args.n)
-        else:
-            raise InputError(f"unknown operation {args.operation!r}")
-    except ValueError as exc:
-        raise InputError(str(exc))
+        fn = projected_sequential_merge(_load_pwl(args.function), args.n)
+    else:
+        raise InputError(f"unknown operation {args.operation!r}")
     _emit(serialize.dumps(serialize.serialize_pwl(fn)), args.output)
     return 0
 

@@ -20,8 +20,8 @@ that owns it, so no face is built twice and dropped as a duplicate.
 Fractions are built only for the faces and vertices handed back to the
 caller; dividing by q > 0 keeps every order the kernel sorts by.  The
 additivity classification scales each vertex it reads back to integers
-once, and the report carries the integer vertices of the additive faces on
-to the covered intervals and to the grid runs of the extremality test.
+once, and the report keeps each additive face's integer projections, which
+the covered intervals and the grid runs of the extremality test read.
 """
 
 from __future__ import annotations
@@ -31,15 +31,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .rational import scale_to_integers
 
 Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction]
 # Scaled by q: coordinates are integers.
 IntPoint = Tuple[int, int]
 IntInterval = Tuple[int, int]
+_Projections = Tuple[int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -374,12 +376,9 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
     starts = [r - s * b for b, (_, _, r), s in zip(fn.breakpoints, fn.limits, fn.slopes)]
     steps = [s / n for s in fn.slopes]
     ats = [v for _, v, _ in fn.limits]
-    d = lcm(*(x.denominator for x in starts + steps + ats))
-
-    def scaled(xs: List[Fraction]) -> List[int]:
-        return [x.numerator * (d // x.denominator) for x in xs]
-
-    starts, steps, ats = scaled(starts), scaled(steps), scaled(ats)
+    k = len(pts)
+    ints, d = scale_to_integers(starts + steps + ats)
+    starts, steps, ats = ints[:k], ints[k : 2 * k], ints[2 * k :]
     value: Dict[int, int] = {}
     for t in {t for x, y in verts for t in (x, y, (x + y) % n)}:
         i = bisect_right(pts, t) - 1
@@ -466,17 +465,17 @@ def _is_additive_with_limits(fn: PwlPeriodic, face: DeltaFace) -> bool:
 
 def _additive_scaled(
     fn: PwlPeriodic, faces: Sequence[DeltaFace]
-) -> Tuple[int, List[DeltaFace], List[Tuple[IntPoint, ...]]]:
+) -> Tuple[int, List[DeltaFace], List[_Projections]]:
     """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
-    their vertices scaled by q, each scaled once."""
+    their ``_projections`` scaled by q, each vertex scaled once."""
     q = fn.denominator_lcm()
     kept: List[DeltaFace] = []
-    scaled: List[Tuple[IntPoint, ...]] = []
+    scaled: List[_Projections] = []
     if not fn.is_continuous():
         for face in faces:
             if _is_additive_with_limits(fn, face):
                 kept.append(face)
-                scaled.append(tuple((_scale(x, q), _scale(y, q)) for x, y in face.vertices))
+                scaled.append(_projections([(_scale(x, q), _scale(y, q)) for x, y in face.vertices]))
         return q, kept, scaled
     _, verts = scaled_vertices(fn)
     slacks, _ = scaled_slacks(fn, q, verts)
@@ -490,7 +489,7 @@ def _additive_scaled(
             sv.append(v)
         else:
             kept.append(face)
-            scaled.append(tuple(sv))
+            scaled.append(_projections(sv))
     return q, kept, scaled
 
 
@@ -507,18 +506,20 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
     return _additive_scaled(fn, faces)[1]
 
 
-def _projections(verts: Sequence[IntPoint]) -> Tuple[int, int, int, int, int, int]:
+def _projections(verts: Sequence[IntPoint]) -> _Projections:
     """min and max of x, of y and of x + y over the vertices."""
     xs, ys = zip(*verts)
     zs = [x + y for x, y in verts]
     return min(xs), max(xs), min(ys), max(ys), min(zs), max(zs)
 
 
-def _merge_intervals(intervals: List[IntInterval]) -> List[List[int]]:
+def _merge_intervals(intervals: Iterable[IntInterval]) -> List[List[int]]:
+    """Ranges in one sort, those that overlap or touch merged."""
     merged: List[List[int]] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
         else:
             merged.append([lo, hi])
     return merged
@@ -535,10 +536,9 @@ class AdditivityReport:
     additive_faces: Tuple[DeltaFace, ...]
     covered_intervals: Tuple[Interval, ...]
     f: Fraction
-    # q and the vertices of each additive face scaled by q, in order: the
-    # grid runs of the extremality test read them instead of scaling the
-    # Fractions again.
-    _scaled: Optional[Tuple[int, Tuple[Tuple[IntPoint, ...], ...]]] = field(
+    # q and the projections of each additive face scaled by q, in order:
+    # the grid runs read them instead of scaling the Fractions again.
+    _scaled: Optional[Tuple[int, Tuple[_Projections, ...]]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -580,10 +580,9 @@ def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
     """
     q, additive, scaled = _additive_scaled(fn, enumerate_faces(fn))
     covered: List[IntInterval] = []
-    for verts in scaled:
-        if len(verts) < 3:
-            continue
-        x0, x1, y0, y1, z0, z1 = _projections(verts)
+    for x0, x1, y0, y1, z0, z1 in scaled:
+        if x0 == x1 or y0 == y1 or z0 == z1:
+            continue  # a point or a segment
         t = q if z0 >= q else 0
         covered += [(x0, x1), (y0, y1), (z0 - t, z1 - t)]
     return AdditivityReport(
@@ -594,6 +593,34 @@ def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
         f=fn.f,
         _scaled=(q, tuple(scaled)),
     )
+
+
+def _additive_face_runs(report: AdditivityReport, n: int) -> List[Tuple[str, int, int, int]]:
+    """The solver's unit-step runs covering every grid pair inside the
+    additive faces.  The report holds each face's projections scaled by q,
+    and q | n, so the grid coordinates are those integers times m = n/q.
+    y0 = y1 gives a point or an h run, x0 = x1 a v run and z0 = z1 a d run;
+    any other face is 2-D, {x in p1, y in p2, x + y in p3} for its
+    projections p1, p2 and p3, and decomposes exactly into grid rows.
+    """
+    q, faces = report._scaled
+    m = n // q
+    runs = []
+    for x0, x1, y0, y1, z0, z1 in faces:
+        if y0 == y1:
+            runs.append(("h", m * y0, m * x0, m * x1))
+        elif x0 == x1:
+            runs.append(("v", m * x0, m * y0, m * y1))
+        elif z0 == z1:
+            runs.append(("d", m * z0, m * x0, m * x1))
+        else:
+            x0, x1, z0, z1 = m * x0, m * x1, m * z0, m * z1
+            for j in range(m * y0, m * y1 + 1):
+                lo = max(x0, z0 - j)
+                hi = min(x1, z1 - j)
+                if lo <= hi:
+                    runs.append(("h", j, lo, hi))
+    return sorted(set(runs))
 
 
 @dataclass(frozen=True)

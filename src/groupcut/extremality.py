@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import (
     AdditivityReport,
-    _projections,
+    _additive_face_runs,
     additivity_report,
     scaled_slacks,
     scaled_vertices,
@@ -52,40 +52,6 @@ class ExtremalityVerdict:
     basis_dimension: int
     covered_intervals: Tuple[Tuple[Fraction, Fraction], ...]
     certificate: Optional[PerturbationCertificate] = None
-
-
-def _additive_face_runs(report: AdditivityReport, n: int) -> List[Run]:
-    """Unit-step runs covering every grid pair inside the additive faces.
-
-    The report holds each face's vertices scaled by q, and q | n, so the
-    grid coordinates are those integers times m = n/q.  A face with one
-    vertex is a point and one with two a segment; a 2-D face is
-    {x in p1, y in p2, x + y in p3} for its vertex projections p1, p2 and
-    p3, and decomposes exactly into grid rows.
-    """
-    q, faces = report._scaled
-    m = n // q
-    runs: List[Run] = []
-    for verts in faces:
-        if len(verts) == 1:
-            (x, y), = verts
-            runs.append(("h", m * y, m * x, m * x))
-        elif len(verts) == 2:
-            (x0, y0), (x1, y1) = verts
-            if y0 == y1:
-                runs.append(("h", m * y0, m * x0, m * x1))
-            elif x0 == x1:
-                runs.append(("v", m * x0, m * min(y0, y1), m * max(y0, y1)))
-            else:
-                runs.append(("d", m * (x0 + y0), m * min(x0, x1), m * max(x0, x1)))
-        else:
-            x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = (m * v for v in _projections(verts))
-            for j in range(y_lo, y_hi + 1):
-                lo = max(x_lo, z_lo - j)
-                hi = min(x_hi, z_hi - j)
-                if lo <= hi:
-                    runs.append(("h", j, lo, hi))
-    return sorted(set(runs))
 
 
 def _additive_system(

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .minimality import (
     NEGATIVITY,
@@ -22,9 +22,6 @@ from .minimality import (
     SYMMETRY,
     MinimalityVerdict,
     MinimalityWitness,
-    _slack_rows,
-    first_subadditivity_violation,
-    min_slack_ratio,
 )
 from .pwl import PwlPeriodic, check_grid_size, grid_values, interpolate_grid
 from .rational import scale_to_integers
@@ -79,6 +76,85 @@ def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroup
 def interpolate_to_infinite_group(g: FiniteGroupFn) -> PwlPeriodic:
     """Canonical continuous interpolant of the grid values (``interpolate_grid``)."""
     return interpolate_grid(g.values, g.q, g.f)
+
+
+def _slack_rows(iv: Sequence[int]) -> Tuple[int, Callable[[int, int], Tuple[int, int]]]:
+    """Rows of Δ(i, j) = iv[i] + iv[j] - iv[(i + j) mod n] on packed integer
+    lanes, for a non-empty iv: (nbytes, row), where row(i, j0) returns
+    (lanes, high), lane j - j0 of lanes holding half + Δ(i, j) for
+    j = j0, ..., n - 1 and each lane of high holding half; lanes are
+    w = 8·nbytes bits wide and half = 2**(w - 1).
+
+    The values, shifted by their minimum to a[j] >= 0, are packed into lanes,
+    and lanes = a[j] + (half + iv[i]) - a[(i + j) mod n] lane by lane.  As
+    |Δ| <= max(a) + max|iv| < half, each lane stays inside (0, 2**w), so no
+    lane carries into or borrows from the next: the top bit of a lane is
+    clear exactly where Δ < 0, and the lane is half exactly where Δ = 0.
+    """
+    n = len(iv)
+    lo = min(iv)
+    a = [v - lo for v in iv]
+    nbytes = (max(a) + max(map(abs, iv))).bit_length() // 8 + 1
+    w = 8 * nbytes
+    half = 1 << (w - 1)
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+    packed, doubled, ones = pack(a), pack(a + a), pack([1] * n)
+
+    def row(i: int, j0: int) -> Tuple[int, int]:
+        ones_j = ones >> (w * j0)  # a 1 in each lane j = j0, ..., n - 1
+        rotated = (doubled >> (w * ((i + j0) % n))) & ((1 << (w * (n - j0))) - 1)
+        return (packed >> (w * j0)) + (half + iv[i]) * ones_j - rotated, ones_j << (w - 1)
+
+    return nbytes, row
+
+
+def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j), i <= j, in ascending order of i and then j,
+    with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.  Row i of
+    ``_slack_rows`` from j0 = i has a clear top bit exactly in the lanes of
+    violations; only the first row with one is scanned pair by pair.
+    """
+    n = len(iv)
+    if not n:
+        return None
+    _, row = _slack_rows(iv)
+    for i in range(n):
+        lanes, high = row(i, i)
+        if lanes & high != high:
+            vi = iv[i]
+            return i, next(j for j in range(i, n) if vi + iv[j] < iv[(i + j) % n])
+    return None
+
+
+def min_slack_ratio(iv: Sequence[int], ib: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair (slack, |Δb|), in the order of the subadditivity scan,
+    with the least slack / |Δb| over i <= j where Δb, the Δ of ib at (i, j),
+    is nonzero and slack is the Δ of iv there; None if there is none.
+    Compared by cross products.  Raises ValueError where Δb ≠ 0 and
+    slack <= 0, since no ε > 0 keeps that pair subadditive.
+    """
+    n = len(iv)
+    iv2, ib2 = list(iv) * 2, list(ib) * 2
+    best_s = best_d = 0
+    for i in range(n):
+        vi, bi = iv[i], ib[i]
+        start = 2 * i % n
+        stop = start + n - i
+        for vj, vk, bj, bk in zip(iv[i:], iv2[start:stop], ib[i:], ib2[start:stop]):
+            d = bi + bj - bk
+            if not d:
+                continue
+            slack = vi + vj - vk
+            if slack <= 0:
+                raise ValueError("perturbation is non-additive at a tight pair of the function")
+            if d < 0:
+                d = -d
+            if not best_d or slack * best_d < best_s * d:
+                best_s, best_d = slack, d
+    return (best_s, best_d) if best_d else None
 
 
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:

@@ -172,10 +172,14 @@ def interpolate_grid(values: Sequence[Fraction], n: int, f) -> PwlPeriodic:
 
     Its breakpoints are 0 and the grid points where the slope changes, found
     by one pass of integer second differences over the periodic vector.
+    Raises ValueError unless n is an ``int`` >= 1 and there are n values.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    if len(values) != n:
+        raise ValueError(f"need n = {n} values, got {len(values)}")
     iv, _ = scale_to_integers(values)
-    k = len(iv)
-    kinks = [0] + [i for i in range(1, k) if iv[i - 1] - 2 * iv[i] + iv[(i + 1) % k]]
+    kinks = [0] + [i for i in range(1, n) if iv[i - 1] - 2 * iv[i] + iv[(i + 1) % n]]
     return PwlPeriodic(f, [Fraction(i, n) for i in kinks], [(values[i],) * 3 for i in kinks])
 
 
@@ -196,10 +200,7 @@ def grid_values(fn: PwlPeriodic, n: int) -> List[Fraction]:
         if lo == b * n:
             out.append(at)
             lo += 1
-        start, step = right - s * b, s / n
-        d = lcm(start.denominator, step.denominator)
-        c = start.numerator * (d // start.denominator)
-        t = step.numerator * (d // step.denominator)
+        (c, t), d = scale_to_integers((right - s * b, s / n))
         out.extend(Fraction(c + t * i, d) for i in range(lo, hi))
     return out
 

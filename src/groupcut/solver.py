@@ -89,6 +89,7 @@ from itertools import chain
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .complex2d import _merge_intervals
 from .rational import integer_nullspace, integer_rref
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
@@ -107,18 +108,6 @@ def _pieces(n: int, a: int, last: int) -> List[Tuple[int, int]]:
     x = (a + 1) % n
     y = x + last
     return [(x, y)] if y <= n else [(x, n), (0, y - n)]
-
-
-def _merged(ranges: Iterable[Tuple[int, int]]) -> List[List[int]]:
-    """[lo, hi) ranges in one sort, those that overlap or touch merged."""
-    out: List[List[int]] = []
-    for lo, hi in sorted(ranges):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1][1] = hi
-        else:
-            out.append([lo, hi])
-    return out
 
 
 def _shifts(
@@ -173,7 +162,7 @@ def _stretches(n: int, shifts: Dict[int, List[List[int]]]) -> List[List[int]]:
                 b = d
             if a < b:
                 links += _pieces(n, a + s, b - a)
-    return _merged(links)
+    return _merge_intervals(links)
 
 
 def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
@@ -228,7 +217,7 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
                 union((a + k) % n, (dst + sign * k) % n)
             continue
         union(a, dst % n)
-    for x, y in _merged(linked):
+    for x, y in _merge_intervals(linked):
         lo = x - 1 if x else 0
         roots = {find(t) for t in set(parent[lo:y])}
         if not x:

@@ -16,8 +16,8 @@ from groupcut.minimality import (
     SYMMETRY,
     MinimalityVerdict,
     MinimalityWitness,
-    first_subadditivity_violation,
 )
+from groupcut.finite import first_subadditivity_violation
 from groupcut.pwl import PwlPeriodic, grid_values
 from groupcut.rational import scale_to_integers
 

@@ -159,7 +159,7 @@ def difference_classes(n: int, runs: Iterable[Run]) -> List[int]:
 
 
 def additive_face_runs(faces, n: int) -> List[Run]:
-    """``extremality._additive_face_runs`` with Fraction ``ceil``/``floor``."""
+    """``complex2d._additive_face_runs`` with Fraction ``ceil``/``floor``."""
     runs: List[Run] = []
     for face in faces:
         if face.dim == 0:

@@ -28,7 +28,7 @@ from groupcut import (
     with_f_breakpoint,
 )
 from groupcut import extremality, finite
-from groupcut.minimality import min_slack_ratio
+from groupcut.finite import min_slack_ratio
 from groupcut.rational import scale_to_integers
 
 F = Fraction

@@ -40,6 +40,18 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "gmic", "--f", "0.8")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("nope",), "unknown family 'nope'"),
+            (("gmic",), "family 'gmic' needs parameter 'f'"),
+            (("negation",), "family 'negation' needs parameter 'fn'"),
+        ],
+        ids=["unknown", "missing-f", "missing-fn"],
+    )
+    def test_error_names_the_family_and_parameter(self, capsys, argv, message):
+        assert run(capsys, "construct", *argv) == (1, "", f"error: {message}\n")
+
 
 class TestList:
     def test_tsv(self, capsys):
@@ -151,6 +163,27 @@ class TestApply:
         code, out, err = run(capsys, "apply", "projected_sequential_merge", path, "--n", "2")
         assert code == 0
         assert json.loads(out)["f"] == "2/5"
+
+
+class TestRefusedInput:
+    """A library refusal reaches stderr as ``error: <message>``, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("test", "extremality", "{fn}", "--oversampling", "2"),
+             "oversampling factor must be at least 3"),
+            (("restrict", "{fn}", "--q", "3"), "f=4/5 does not lie on the (1/3)Z grid"),
+            (("apply", "scale", "{fn}", "--lam", "0"), "scale factor must be nonzero"),
+            (("apply", "combine", "{fn}", "--a", "1/2", "--b", "1/2", "--other", "{half}"),
+             "cannot combine functions with f=4/5 and f=1/2"),
+        ],
+        ids=["oversampling", "restrict", "scale", "combine"],
+    )
+    def test_stderr_and_exit_code(self, capsys, tmp_path, argv, message):
+        paths = {"fn": write_gmic(tmp_path), "half": write_gmic(tmp_path, "half.json", "1/2")}
+        argv = [a.format(**paths) for a in argv]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestPlot:

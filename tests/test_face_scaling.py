@@ -23,8 +23,7 @@ from groupcut import (
     extremality,
     gmic,
 )
-from groupcut.complex2d import classify_additive
-from groupcut.extremality import _additive_face_runs
+from groupcut.complex2d import _additive_face_runs, classify_additive
 from test_faces_once import breakpoint_sets
 from test_solver_reference import FIXTURES, stages
 from test_solver_tail import midpoint
@@ -89,3 +88,23 @@ def test_vertices_scaled_once(psi45_stages, monkeypatch):
     monkeypatch.setattr(extremality, "minimality_test", lambda fn: MinimalityVerdict(True))
     extremality._additive_system(fn, 3)
     assert len(calls) == expected
+
+
+def test_projections_once_per_additive_face(psi45_stages, monkeypatch):
+    """``_projections`` runs once per additive face from the faces to the
+    grid runs: the report keeps them for the covered intervals and the runs
+    alike."""
+    fn = psi45_stages[3]
+    calls = []
+    real = complex2d._projections
+
+    def counted(verts):
+        calls.append(verts)
+        return real(verts)
+
+    monkeypatch.setattr(complex2d, "_projections", counted)
+    monkeypatch.setattr(extremality, "_projections", counted, raising=False)
+    # As above: psi_3 is minimal, so its minimality test is left out.
+    monkeypatch.setattr(extremality, "minimality_test", lambda fn: MinimalityVerdict(True))
+    report = extremality._additive_system(fn, 3)[3]
+    assert len(calls) == len(report.additive_faces)

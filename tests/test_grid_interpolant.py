@@ -9,11 +9,13 @@ and limit for limit, what the finite module built before:
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import FiniteGroupFn, interpolate_perturbation, interpolate_to_infinite_group, pwl_from_values
 from groupcut.cli import main
+from groupcut.pwl import interpolate_grid
 from groupcut.serialize import dumps, serialize_finite, serialize_pwl
 
 F = Fraction
@@ -50,3 +52,21 @@ def test_cli_bytes(capsys, tmp_path):
     path.write_text(dumps(serialize_finite(g)))
     assert main(["interpolate", str(path)]) == 0
     assert capsys.readouterr().out == dumps(serialize_pwl(expected(g)))
+
+
+@pytest.mark.parametrize("values", [[0, 1, 0], [0, 1, 0, 0, 0]], ids=["short", "long"])
+def test_vector_of_another_length_is_refused(values):
+    # Both used to return breakpoints 0, 1/4, 1/2: neither on (1/4)Z.
+    with pytest.raises(ValueError, match=f"need n = 4 values, got {len(values)}"):
+        interpolate_perturbation(values, 4, F(1, 2))
+
+
+@pytest.mark.parametrize("n", [0, -3, 3.0, F(3), True, "3"])
+def test_n_that_is_not_a_positive_int_is_refused(n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+        interpolate_grid([F(0)] * 3, n, F(1, 2))
+
+
+def test_matching_length_still_interpolates():
+    fn = interpolate_perturbation([0, 1, 0, 0], 4, F(1, 2))
+    assert fn.breakpoints == (0, F(1, 4), F(1, 2))

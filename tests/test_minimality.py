@@ -18,8 +18,8 @@ from groupcut.minimality import (
     ORIGIN_VALUE,
     SUBADDITIVITY,
     SYMMETRY,
-    first_subadditivity_violation,
 )
+from groupcut.finite import first_subadditivity_violation
 
 F = Fraction
 

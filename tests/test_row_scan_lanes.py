@@ -9,7 +9,7 @@ show as a wrong pair.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcut.minimality import first_subadditivity_violation
+from groupcut.finite import first_subadditivity_violation
 
 
 def first_violation_by_loops(iv):

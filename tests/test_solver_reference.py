@@ -28,7 +28,7 @@ from groupcut import (
     restrict_to_finite_group,
     with_f_breakpoint,
 )
-from groupcut.extremality import _additive_face_runs
+from groupcut.complex2d import _additive_face_runs
 from groupcut.finite import _additive_runs
 from groupcut.rational import scale_to_integers
 from groupcut.solver import _difference_classes, perturbation_space

@@ -3,7 +3,7 @@
 ``finite._additive_runs`` must be ``==`` to the pair loop of
 ``finite_reference`` on generated value lists whose lanes are wide, full
 or hold negative slacks, and on finite restrictions; it must read them
-through ``minimality._slack_rows``, the kernel of the subadditivity scan;
+through ``finite._slack_rows``, the kernel of the subadditivity scan;
 and the finite certificates it leads to are pinned by digests taken from
 the pair loop.
 """
@@ -27,7 +27,7 @@ from groupcut import (
     psi_stages,
     restrict_to_finite_group,
 )
-from groupcut import finite, minimality
+from groupcut import finite
 from groupcut.finite import _additive_runs
 from groupcut.rational import scale_to_integers
 from groupcut.serialize import dumps, serialize_finite
@@ -103,7 +103,7 @@ def test_runs_are_read_through_the_row_kernel(monkeypatch):
     g = restriction(third_combination(2), 3)
     assert g.q == 120
     rows = []
-    kernel = minimality._slack_rows
+    kernel = finite._slack_rows
 
     def counted(iv):
         nbytes, row = kernel(iv)
