@@ -17,11 +17,13 @@ on a side of the box I×J, where the strip x + y ∈ K cuts one interval with
 integer ends; walking the four sides lists the vertices in order, and their
 number gives the dimension.  Each face is built once, by the one cell I×J
 that owns it, so no face is built twice and dropped as a duplicate.
-Fractions are built only for the faces and vertices handed back to the
-caller; dividing by q > 0 keeps every order the kernel sorts by.  The
-additivity classification scales each vertex it reads back to integers
-once, and the report keeps each additive face's integer projections, which
-the covered intervals and the grid runs of the extremality test read.
+Each face keeps its integers, its sorted vertices and its triple scaled by
+q, and builds its Fraction fields on first read through one memoizing
+unscaler that the whole enumeration shares; dividing by q > 0 keeps every
+order the kernel sorts by.  The additivity classification, the symmetry
+test and the drawing ring read the integers, so a continuous extremality
+test builds no face's Fractions.  The report keeps each additive face's
+integer projections, which the covered intervals and the grid runs read.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .pwl import AT, LEFT, RIGHT, PwlPeriodic
 from .rational import scale_to_integers
@@ -44,15 +46,47 @@ IntInterval = Tuple[int, int]
 _Projections = Tuple[int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class DeltaFace:
-    """One face F(I,J,K) of the complex, stored with its vertex set."""
+class _Scaled:
+    # What a face is built from: ``_u``, the unscaler of its scale q, and
+    # ``_ints``, its sorted vertices and its triple (I, J, K) scaled by q.
+    __slots__ = ("_u", "_ints")
+
+
+@dataclass(frozen=True, slots=True)
+class DeltaFace(_Scaled):
+    """One face F(I,J,K) of the complex, stored with its vertex set.
+
+    A face of ``enumerate_faces`` or ``find_face`` builds each Fraction
+    field from its integers on first read; one built from Fractions derives
+    its integers in ``__post_init__``.
+    """
 
     dim: int
     interval_x: Interval
     interval_y: Interval
     interval_z: Interval
     vertices: Tuple[Point, ...]
+
+    def __post_init__(self) -> None:
+        ends = self.interval_x + self.interval_y + self.interval_z
+        q = lcm(*(c.denominator for c in ends), *(c.denominator for v in self.vertices for c in v))
+        x0, x1, y0, y1, z0, z1 = (_scale(c, q) for c in ends)
+        verts = tuple(sorted((_scale(x, q), _scale(y, q)) for x, y in self.vertices))
+        _set_u(self, _Unscaler(q))
+        _set_ints(self, (verts, (x0, x1), (y0, y1), (z0, z1)))
+
+    def __getattr__(self, name: str):
+        # Only a field not read yet gets here: build it and keep it.
+        i = _LAZY_FIELDS.get(name)
+        if i is None:
+            raise AttributeError(f"'DeltaFace' object has no attribute {name!r}")
+        u, ints = self._u, self._ints[i]
+        value = tuple(map(u.__getitem__, ints)) if i == 0 else u[ints]
+        object.__setattr__(self, name, value)
+        return value
+
+    def __reduce__(self):
+        return DeltaFace, (self.dim, self.interval_x, self.interval_y, self.interval_z, self.vertices)
 
     @property
     def p1(self) -> Interval:
@@ -92,25 +126,34 @@ def _scaled_breakpoints(fn: PwlPeriodic) -> Tuple[int, List[int]]:
     return q, [_scale(b, q) for b in fn.breakpoints]
 
 
-def _unscaler(q: int) -> Callable[[IntPoint], Point]:
-    """(a, b) -> (a/q, b/q) for points and intervals alike, memoized so that
-    equal pairs share one tuple of shared Fractions."""
-    coords: Dict[int, Fraction] = {}
-    pairs: Dict[IntPoint, Point] = {}
+class _Unscaler(dict):
+    """u[(a, b)] = (a/q, b/q) for points and intervals alike, memoized so
+    that equal pairs share one tuple of shared Fractions."""
 
-    def coord(x: int) -> Fraction:
-        r = coords.get(x)
-        if r is None:
-            r = coords[x] = Fraction(x, q)
+    __slots__ = ("q", "_coords")
+
+    def __init__(self, q: int) -> None:
+        self.q, self._coords = q, {}
+
+    def __missing__(self, pair: IntPoint) -> Point:
+        c = self._coords
+        r = self[pair] = tuple(c[a] if a in c else c.setdefault(a, Fraction(a, self.q)) for a in pair)
         return r
 
-    def unscale(pair: IntPoint) -> Point:
-        r = pairs.get(pair)
-        if r is None:
-            r = pairs[pair] = (coord(pair[0]), coord(pair[1]))
-        return r
 
-    return unscale
+# The index in ``_ints`` of each Fraction field a face builds on first read.
+_LAZY_FIELDS = {"vertices": 0, "interval_x": 1, "interval_y": 2, "interval_z": 3}
+_new_face = object.__new__
+_set_dim, _set_u, _set_ints = DeltaFace.dim.__set__, _Scaled._u.__set__, _Scaled._ints.__set__
+
+
+def _face(dim: int, ints: tuple, u: _Unscaler) -> DeltaFace:
+    """A face held as its integers (``_Scaled``), scaled by ``u.q``."""
+    face = _new_face(DeltaFace)
+    _set_dim(face, dim)
+    _set_u(face, u)
+    _set_ints(face, ints)
+    return face
 
 
 def _interval_faces(pts: Sequence[int], q: int) -> List[IntInterval]:
@@ -193,17 +236,6 @@ def _ring(ix: IntInterval, iy: IntInterval, iz: IntInterval) -> List[IntPoint]:
     return ring
 
 
-def _to_face(
-    dim: int,
-    ix: IntInterval,
-    iy: IntInterval,
-    iz: IntInterval,
-    verts: Sequence[IntPoint],
-    u: Callable[[IntPoint], Point],
-) -> DeltaFace:
-    return DeltaFace(dim, u(ix), u(iy), u(iz), tuple(map(u, verts)))
-
-
 def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     """All distinct faces of the complex, sorted by (dim, vertex list).
 
@@ -267,21 +299,17 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
                 ring = _ring(ix, iy, iz)
                 n = len(ring)
                 by_dim[2 if n > 2 else n - 1].append((tuple(sorted(ring)), ix, iy, iz))
-    u = _unscaler(q)
+    u = _Unscaler(q)
     faces = []
     for dim, entries in enumerate(by_dim):
         entries.sort()  # vertex tuples are distinct: no comparison goes past them
-        faces += [_to_face(dim, ix, iy, iz, verts, u) for verts, ix, iy, iz in entries]
+        faces += [_face(dim, ints, u) for ints in entries]
     return faces
 
 
 def face_ring(face: DeltaFace) -> List[Point]:
     """Vertices of the face in counter-clockwise ring order (for drawing)."""
-    ends = face.interval_x + face.interval_y + face.interval_z
-    q = lcm(*(e.denominator for e in ends))
-    x0, x1, y0, y1, z0, z1 = (_scale(e, q) for e in ends)
-    ring = _ring((x0, x1), (y0, y1), (z0, z1))
-    return [(Fraction(x, q), Fraction(y, q)) for x, y in ring]
+    return [face._u[v] for v in _ring(*face._ints[1:])]
 
 
 def _smallest_face(
@@ -337,7 +365,7 @@ def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
     verts = tuple(sorted(ring))
     if verts != tuple(scaled):
         return None
-    return _to_face(min(len(ring) - 1, 2), ix, iy, iz, verts, _unscaler(q))
+    return _face(min(len(ring) - 1, 2), (verts, ix, iy, iz), _Unscaler(q))
 
 
 def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
@@ -389,8 +417,8 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
 def delta_vertices(fn: PwlPeriodic) -> List[Point]:
     """Vertices of the complex inside [0,1)^2, in sorted order."""
     q, verts = scaled_vertices(fn)
-    u = _unscaler(q)
-    return [u(v) for v in verts]
+    u = _Unscaler(q)
+    return [u[v] for v in verts]
 
 
 def vertex_slacks(fn: PwlPeriodic) -> List[Tuple[Point, bool, Fraction]]:
@@ -403,9 +431,9 @@ def vertex_slacks(fn: PwlPeriodic) -> List[Tuple[Point, bool, Fraction]]:
     q, verts = scaled_vertices(fn)
     slacks, d = scaled_slacks(fn, q, verts)
     f = _scale(fn.f, q)
-    u = _unscaler(q)
+    u = _Unscaler(q)
     return [
-        (u(v), (v[0] + v[1] - f) % q == 0, Fraction(s, d)) for v, s in zip(verts, slacks)
+        (u[v], (v[0] + v[1] - f) % q == 0, Fraction(s, d)) for v, s in zip(verts, slacks)
     ]
 
 
@@ -467,7 +495,7 @@ def _additive_scaled(
     fn: PwlPeriodic, faces: Sequence[DeltaFace]
 ) -> Tuple[int, List[DeltaFace], List[_Projections]]:
     """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
-    their ``_projections`` scaled by q, each vertex scaled once."""
+    their ``_projections`` scaled by q, read from each face's integers."""
     q = fn.denominator_lcm()
     kept: List[DeltaFace] = []
     scaled: List[_Projections] = []
@@ -475,22 +503,28 @@ def _additive_scaled(
         for face in faces:
             if _is_additive_with_limits(fn, face):
                 kept.append(face)
-                scaled.append(_projections([(_scale(x, q), _scale(y, q)) for x, y in face.vertices]))
+                scaled.append(_projections(_vertices_at(face, q)))
         return q, kept, scaled
     _, verts = scaled_vertices(fn)
     slacks, _ = scaled_slacks(fn, q, verts)
+    # Δπ is periodic: a vertex on x = q or y = q reads the slack at 0.
     zero = {v for v, s in zip(verts, slacks) if not s}
+    zero |= {(q, y) for x, y in zero if not x}
+    zero |= {(x, q) for x, y in zero if not y}
     for face in faces:
-        sv = []
-        for x, y in face.vertices:
-            v = (_scale(x, q), _scale(y, q))
-            if (v[0] % q, v[1] % q) not in zero:
-                break
-            sv.append(v)
-        else:
+        sv = _vertices_at(face, q)
+        if zero.issuperset(sv):
             kept.append(face)
             scaled.append(_projections(sv))
     return q, kept, scaled
+
+
+def _vertices_at(face: DeltaFace, q: int) -> Tuple[IntPoint, ...]:
+    """The face's sorted vertices scaled by q, a multiple of its own scale."""
+    m, r = divmod(q, face._u.q)
+    if r:
+        raise ValueError("the face is not a face of this complex")
+    return face._ints[0] if m == 1 else tuple((m * x, m * y) for x, y in face._ints[0])
 
 
 def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[DeltaFace]:
@@ -499,18 +533,38 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
 
     For a continuous function Δπ is affine on each face, so it vanishes on
     the face exactly when it vanishes at the vertices.  Δπ is read once per
-    vertex from ``scaled_slacks``; it is periodic in x and y, so a face
-    vertex is looked up by its coordinates mod 1, and the cost follows the
-    number of vertices, not q.
+    vertex from ``scaled_slacks``; it is periodic in x and y, so the
+    vertices where it vanishes are kept with their translates onto x = 1
+    and y = 1, each face is one subset test of its integer vertices, and
+    the cost follows the number of vertices, not q.
     """
     return _additive_scaled(fn, faces)[1]
 
 
 def _projections(verts: Sequence[IntPoint]) -> _Projections:
-    """min and max of x, of y and of x + y over the vertices."""
-    xs, ys = zip(*verts)
-    zs = [x + y for x, y in verts]
-    return min(xs), max(xs), min(ys), max(ys), min(zs), max(zs)
+    """min and max of x, of y and of x + y over the vertices, sorted as a
+    face keeps them: x from the ends, y and x + y in one pass."""
+    y0 = y1 = verts[0][1]
+    z0 = z1 = verts[0][0] + y0
+    for x, y in verts:
+        if y < y0:
+            y0 = y
+        elif y > y1:
+            y1 = y
+        z = x + y
+        if z < z0:
+            z0 = z
+        elif z > z1:
+            z1 = z
+    return verts[0][0], verts[-1][0], y0, y1, z0, z1
+
+
+def _on_symmetry_line(face: DeltaFace, f: Fraction) -> bool:
+    """Whether every vertex of the face lies on x + y = f (mod 1), tested
+    in the face's integers: (x + y - qf) % q == 0 at scale q."""
+    q = face._u.q
+    t, r = divmod(f.numerator * q, f.denominator)
+    return not r and all((x + y - t) % q == 0 for x, y in face._ints[0])
 
 
 def _merge_intervals(intervals: Iterable[IntInterval]) -> List[List[int]]:
@@ -562,12 +616,7 @@ class AdditivityReport:
     @cached_property
     def symmetry_faces(self) -> Tuple[DeltaFace, ...]:
         """Additive faces lying on the line x + y = f (mod 1)."""
-        targets = (self.f, self.f + 1)
-        return tuple(
-            face
-            for face in self.additive_faces
-            if all(v[0] + v[1] in targets for v in face.vertices)
-        )
+        return tuple(face for face in self.additive_faces if _on_symmetry_line(face, self.f))
 
 
 def additivity_report(fn: PwlPeriodic) -> AdditivityReport:

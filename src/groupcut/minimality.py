@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .complex2d import (
+    _on_symmetry_line,
     delta_pi,
     delta_pi_limit,
     enumerate_faces,
@@ -55,10 +56,6 @@ def with_f_breakpoint(fn: PwlPeriodic) -> PwlPeriodic:
     return PwlPeriodic(fn.f, bkpts, [fn.limits_at(x) for x in bkpts])
 
 
-def _on_symmetry_line(fn: PwlPeriodic, u: Fraction, v: Fraction) -> bool:
-    return (u + v - fn.f) % 1 == 0
-
-
 def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     """Decide minimality; on failure return the first witness found.
 
@@ -98,9 +95,7 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
             return vertex_witness(SYMMETRY, i)
     if not continuous:
         for face in faces:
-            if face.dim != 1:
-                continue
-            if not all(_on_symmetry_line(fn, u, v) for u, v in face.vertices):
+            if face.dim != 1 or not _on_symmetry_line(face, fn.f):
                 continue
             for vert in face.vertices:
                 slack = delta_pi_limit(fn, face, vert)
@@ -139,7 +134,7 @@ def verify_witness(fn: PwlPeriodic, witness: MinimalityWitness) -> bool:
     if witness.kind == SYMMETRY:
         if isinstance(witness.location, tuple):
             u, v = witness.location
-            if not _on_symmetry_line(fn, u, v):
+            if (u + v - fn.f) % 1:
                 return False
             if witness.face_vertices is None:
                 return delta_pi(fn, u, v) == witness.value != 0

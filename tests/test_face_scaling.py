@@ -1,8 +1,8 @@
-"""Each additive face vertex is scaled to integers once.
+"""Each additive face's integers are read once.
 
-``classify_additive`` scales the vertices it reads; the covered intervals
-and the grid runs of the extremality test read those integers from the
-report.  Both must be ``==`` to ``face_runs_reference``, which scales the
+``classify_additive`` reads the integer vertices each face keeps; the
+covered intervals and the grid runs of the extremality test read the
+projections the report keeps.  Both must be ``==`` to ``face_runs_reference``, which scales the
 Fractions again, on psi_0 .. psi_4, the ½·gmic + ½·psi_1 midpoints and
 generated functions, jumps included for the covered intervals.
 """
