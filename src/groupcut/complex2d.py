@@ -32,6 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -90,18 +91,15 @@ class DeltaFace(_Scaled):
 
     @property
     def p1(self) -> Interval:
-        xs = [v[0] for v in self.vertices]
-        return (min(xs), max(xs))
+        return self._u[_projections(self._ints[0])[:2]]
 
     @property
     def p2(self) -> Interval:
-        ys = [v[1] for v in self.vertices]
-        return (min(ys), max(ys))
+        return self._u[_projections(self._ints[0])[2:4]]
 
     @property
     def p3(self) -> Interval:
-        zs = [v[0] + v[1] for v in self.vertices]
-        return (min(zs), max(zs))
+        return self._u[_projections(self._ints[0])[4:]]
 
     def contains(self, pt: Point) -> bool:
         x, y = pt
@@ -646,30 +644,32 @@ def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
 
 def _additive_face_runs(report: AdditivityReport, n: int) -> List[Tuple[str, int, int, int]]:
     """The solver's unit-step runs covering every grid pair inside the
-    additive faces.  The report holds each face's projections scaled by q,
-    and q | n, so the grid coordinates are those integers times m = n/q.
-    y0 = y1 gives a point or an h run, x0 = x1 a v run and z0 = z1 a d run;
-    any other face is 2-D, {x in p1, y in p2, x + y in p3} for its
-    projections p1, p2 and p3, and decomposes exactly into grid rows.
+    additive faces, each once, in no fixed order.  The report holds each face's
+    projections scaled by q, and q | n: the grid coordinates are those times
+    m = n/q.  y0 = y1 gives a point or an h run, x0 = x1 a v run and z0 = z1 a
+    d run; any other face is 2-D and convex, {x in p1, y in p2, x + y in p3},
+    so its row y = j, j in p2, is max(x0, z0 - j) = lo <= x <= hi = min(x1, z1 - j).
+    lo falls by one a row up to j = z0 - x0 and is x0 after; hi is x1 up to
+    j = z1 - x1 and falls after: cut there, the rows are three zipped ranges.
     """
     q, faces = report._scaled
     m = n // q
     runs = []
     for x0, x1, y0, y1, z0, z1 in faces:
+        x0, x1, y0, y1, z0, z1 = m * x0, m * x1, m * y0, m * y1, m * z0, m * z1
         if y0 == y1:
-            runs.append(("h", m * y0, m * x0, m * x1))
+            runs.append(("h", y0, x0, x1))
         elif x0 == x1:
-            runs.append(("v", m * x0, m * y0, m * y1))
+            runs.append(("v", x0, y0, y1))
         elif z0 == z1:
-            runs.append(("d", m * z0, m * x0, m * x1))
+            runs.append(("d", z0, x0, x1))
         else:
-            x0, x1, z0, z1 = m * x0, m * x1, m * z0, m * z1
-            for j in range(m * y0, m * y1 + 1):
-                lo = max(x0, z0 - j)
-                hi = min(x1, z1 - j)
-                if lo <= hi:
-                    runs.append(("h", j, lo, hi))
-    return sorted(set(runs))
+            cuts = sorted({y0, y1 + 1} | {c for c in (z0 - x0 + 1, z1 - x1 + 1) if y0 < c <= y1})
+            for a, b in zip(cuts, cuts[1:]):
+                lo = range(z0 - a, z0 - b, -1) if a <= z0 - x0 else repeat(x0)
+                hi = repeat(x1) if a <= z1 - x1 else range(z1 - a, z1 - b, -1)
+                runs += zip(repeat("h"), range(a, b), lo, hi)
+    return list(dict.fromkeys(runs))
 
 
 @dataclass(frozen=True)

@@ -30,33 +30,57 @@ The steps are united in whole ranges, in three passes:
    predecessor.  These links are merged in one more sort into stretches,
    and each stretch becomes one class, rooted at its first step, by one
    slice assignment of the parent array.  Link 0 joins step n - 1 to step 0.
-2. A relation is a merged i-range of a shift, or a ``d`` run.  If one of
-   its sides lies in one class of (1), the relation needs only that the
-   other side be linked into one class and one union of its first steps.
-   The test is O(1): over the steps 0 .. 2n - 1, with the stretches laid
-   out twice and the last joined to the copy of the first through link 0,
-   each class of (1) is one range with a label of its own, and a side lies
-   in it when its two ends carry the same label.  The other sides of all
-   such relations are merged in one sort, and each merged range is united
-   at once: a slice of the parent array gives the roots its steps reach,
-   all of them point at the smallest, and one slice assignment flattens
-   the range.
+2. A relation is a merged i-range of a shift, or a ``d`` run.  Whether a
+   side lies in one class of (1) is an O(1) test: over the steps
+   0 .. 2n - 1, with the stretches laid out twice and the last joined to
+   the copy of the first through link 0, each class of (1) is one range
+   with a label of its own, and a side lies in it when its two ends carry
+   the same label.  Below n the label of a step is its root after (1), a
+   step of its class.  A relation both of whose sides lie in one class of
+   (1) only unites those two classes: its pair of labels goes into a set,
+   and each distinct pair is united once.  If only one side lies in one
+   class of (1), the relation needs that the other side be linked into
+   one class and one union of its first steps.  Those other sides are
+   merged in one sort, and each merged range is united at once: a slice of
+   the parent array gives the roots its steps reach, all of them point at
+   the smallest, and one slice assignment flattens the range.
 3. Only a relation neither of whose sides lies in one class of (1) unites
    step by step.  Steps past the n-th of a relation repeat the first n.
 
 *Partition identity.*  Let ~ be the equivalence generated by the runs'
-unit relations.  Every link of (1) is two relations of ~.  In (2) the
-tested side lies in one class of ~ by the links of (1) alone, so the
-relation makes the steps of its other side ~ each other and its first
-steps ~; every link and union of (2) follows from ~ and (1), in whatever
-order they are made, so nothing is united that ~ does not unite.
-Conversely, after (2) each step src + k is in the class of src, src in
-that of its partner, and the partner in that of the partner of src + k,
-so every relation holds; (3) makes the relations themselves.  So the
-partition is that of ~.  Unions keep the smaller root, so every parent is
-at or left of its step and each class is rooted at its first step, and one
-pass left to right over the parents numbers the classes in order of first
-occurrence, which the partition alone fixes.
+unit relations.  Every link of (1) is two relations of ~.  In (2) a side
+that lies in one class of (1) lies in one class of ~ by the links of (1)
+alone.  So a relation with a pair of labels makes its two classes ~,
+since it relates its first steps and each label is a step of its side's
+class; and a relation with one such side makes the steps of its other
+side ~ each other and its first steps ~.  Every link and union of (2)
+follows from ~ and (1), in whatever order they are made, so nothing is
+united that ~ does not unite.  Conversely, after (2) each step src + k is
+in the class of src, src in that of its partner, and the partner in that
+of the partner of src + k, so every relation holds: for a pair of labels,
+because both sides are in one class each and those two are united.  (3)
+makes the relations themselves.  So the partition is that of ~.  Unions
+keep the smaller root, so every parent is at or left of its step and
+each class is rooted at its first step.  Pointer jumping, parent[t] ←
+parent[parent[t]] over the whole array until nothing changes, gives every
+step its root, and the roots in order of first occurrence number the
+classes, an order the partition alone fixes.
+
+*Rows on packed lanes.*  A[k][c] = #{t < k : cls(t mod n) = c} counts the
+classes of the steps before k, 0 <= k <= 2n.  P[k] = Σ_c A[k][c]·2^(wc)
+packs them into one integer, with lanes of w bits, 2^w > 2n, and one
+``accumulate`` over cls laid out twice gives every P[k]; only the indices
+the rows read are kept.  The anchor (u, v) of a run gives the row
+A[u] + A[v] - A[u+v], whose entry at c is A[u][c] minus the count of c
+among the steps v .. u + v - 1, so it lies in [-u, u], and likewise in
+[-v, v]; as u + v <= 2n, in [-n, n].  So with bias = n·Σ_c 2^(wc), each
+entry plus n lies in [0, 2n] ⊂ [0, 2^w), and these are the base-2^w
+digits of the one integer P[u] + P[v] - P[u+v] + bias: no lane carries
+into or borrows from the next.  Equal rows are then equal integers, the
+distinct integers are read back lane by lane, and a grid whose anchors
+give few rows unpacks few.  The rows e(f) = 0 and e(n) = 0 are A[f] and
+A[n], and the rows of L below are A[t_c + 1], all with entries in
+[0, n], read back the same way.
 
 *Basis in class space.*  A solution is a vector γ over the classes, lifted
 to e(t) = Σ_{s<t} γ(cls(s)); let t_c be the first step of class c and
@@ -75,7 +99,10 @@ row space being unique.  So the system is solved once, over δ:
    back reversed and in reverse order, has d at each vector's free column,
    zeros at the other free columns and its other entries to the right: it
    is d times rref over δ;
-4. one walk over cls lifts each vector, with γ(c) = δ(c) - e(t_c) at t_c.
+4. each vector is lifted in O(n): γ(c) = δ(c) - e(t_c), where e(t_c) is
+   e(t_{c-1}) plus the γ of the steps t_{c-1} .. t_c - 1, whose classes
+   are below c, summed in one pass over those steps; one ``accumulate``
+   over cls then gives e.
 
 A class first met at step n - 1 has t_c + 1 = n, where periodicity makes δ
 vanish.  All of it runs in the integer kernel of :mod:`groupcut.rational`;
@@ -85,9 +112,10 @@ only the basis entries, the lifted vectors over d, are Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, compress
 from operator import add, sub
-from typing import Dict, Iterable, List, Sequence, Tuple
+from sys import byteorder
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .complex2d import _merge_intervals
 from .rational import integer_nullspace, integer_rref
@@ -193,7 +221,7 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
     for x, y in stretches:
         lo = x - 1 if x else 0
         parent[lo:y] = [lo] * (y - lo)
-    ext = parent + [r + n for r in parent]
+    ext = parent + list(map(n.__add__, parent))
     if stretches and not stretches[0][0]:
         y = stretches[0][1]
         ext[n : n + y] = [parent[n - 1]] * y
@@ -201,14 +229,19 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
 
     # (2) and (3), in any order, since only the partition counts.  A
     # relation (src, dst, sign, length) relates the steps src + k and
-    # dst + sign * k for k < length.
+    # dst + sign * k for k < length.  One whose sides both lie in one class
+    # of (1) only unites those classes, once per pair of labels.
     relations = ((a, a + s, 1, b - a) for s, mine in shifts.items() if s for a, b in mine)
     linked: List[Tuple[int, int]] = []
+    labels: Set[Tuple[int, int]] = set()
     for src, dst, sign, length in chain(relations, mirrors):
         last = min(length, n) - 1
         a = src % n
         b = (dst if sign > 0 else dst - last) % n
         if ext[b] == ext[b + last]:
+            if ext[a] == ext[a + last]:
+                labels.add((ext[a], ext[b]))
+                continue
             linked += _pieces(n, a, last)
         elif ext[a] == ext[a + last]:
             linked += _pieces(n, b, last)
@@ -217,6 +250,8 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
                 union((a + k) % n, (dst + sign * k) % n)
             continue
         union(a, dst % n)
+    for a, b in labels:
+        union(a, b)
     for x, y in _merge_intervals(linked):
         lo = x - 1 if x else 0
         roots = {find(t) for t in set(parent[lo:y])}
@@ -227,17 +262,14 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
             parent[t] = r
         parent[lo:y] = [r] * (y - lo)
 
-    # Every parent is at or left of its step, so the pass reads the class
-    # of a step's parent before the step.
-    cls = [0] * n
-    count = 0
-    for t, p in enumerate(parent):
-        if p == t:
-            cls[t] = count
-            count += 1
-        else:
-            cls[t] = cls[p]
-    return cls
+    # Every parent is at or left of its step: pointer jumping leaves each
+    # step's root, its class's first step, and the roots in order of first
+    # occurrence number the classes.
+    up = list(map(parent.__getitem__, parent))
+    while up != parent:
+        parent, up = up, list(map(up.__getitem__, up))
+    number = {r: c for c, r in enumerate(dict.fromkeys(parent))}
+    return list(map(number.__getitem__, parent))
 
 
 def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[Fraction]]:
@@ -249,56 +281,58 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[F
     in reduced row echelon form.
     """
     runs = list(runs)
-    anchors: List[Tuple[int, int]] = []
+    # The anchor (u, v) of every run, as the lists us and vs.
+    us: List[int] = []
+    vs: List[int] = []
     for kind, c, lo, hi in runs:
         if lo > hi:
             continue
         if kind == "h":
-            anchors.append((lo, c))
+            us.append(lo)
+            vs.append(c)
         elif kind == "v":
-            anchors.append((c, lo))
+            us.append(c)
+            vs.append(lo)
         elif kind == "d":
-            anchors.append((lo, c - lo))
+            us.append(lo)
+            vs.append(c - lo)
         else:
             raise ValueError(f"unknown run kind {kind!r}")
     cls = _difference_classes(n, runs)
-    n_classes = max(cls) + 1
-    # t_c + 1 for the first step t_c of each class c.
-    firsts: List[int] = []
-    for t, c in enumerate(cls):
-        if c == len(firsts):
-            firsts.append(t + 1)
+    # t_c, the first step of each class c: the last value a dict keeps.
+    first = dict(zip(reversed(cls), range(n - 1, -1, -1)))
+    n_classes = len(first)
+    starts = list(map(first.__getitem__, range(n_classes)))
 
-    # Prefix class-count vectors A[k][c] = #{t < k : cls[t mod n] = c} are
-    # only materialized at the indices the equations and δ mention.
-    needed = {0, f_index % n, n, *firsts}
-    for u, v in anchors:
-        needed.update((u, v, u + v))
-    counts = [0] * n_classes
-    prefix = {}
-    order = sorted(needed)
-    pos = 0
-    for t in range(2 * n + 1):
-        while pos < len(order) and order[pos] == t:
-            prefix[t] = counts[:]
-            pos += 1
-        if pos == len(order):
-            break
-        if t < 2 * n:
-            counts[cls[t % n]] += 1
+    # The rows on packed lanes (see the module docstring): P[k] holds A[k][c]
+    # in lane c, kept at the indices the rows read.
+    ws = list(map(add, us, vs))
+    f = f_index % n
+    lower_at = [t + 1 for t in starts]
+    mask = bytearray(2 * n + 1)
+    for k in chain((f, n), lower_at, us, vs, ws):
+        mask[k] = 1
+    nbytes = next(k for k in (1, 2, 4, 8) if 2 * n < 1 << 8 * k)
+    w = 8 * nbytes
+    lane = [1 << w * c for c in range(n_classes)]
+    steps = accumulate(map(lane.__getitem__, chain(cls, cls)), initial=0)
+    prefix = dict(zip(compress(range(2 * n + 1), mask), compress(steps, mask)))
+    at = prefix.__getitem__
+    bias = n * ((1 << w * n_classes) - 1) // ((1 << w) - 1)
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[nbytes]
 
-    def row_for(u: int, v: int) -> Tuple[int, ...]:
-        a, b, c = prefix[u], prefix[v], prefix[u + v]
-        return tuple(map(sub, map(add, a, b), c))
+    def unpack(packed: int) -> Tuple[int, ...]:
+        lanes = memoryview((packed + bias).to_bytes(nbytes * n_classes, byteorder)).cast(fmt)
+        return tuple(map(n.__rsub__, lanes))
 
-    rows = {row_for(u, v) for u, v in anchors}
-    rows.add(tuple(prefix[f_index % n]))
-    rows.add(tuple(prefix[n]))  # periodicity: e(n) = e(0) = 0
-    reduced, pivots = integer_rref(sorted(rows), n_classes)
+    rows = set(map(sub, map(add, map(at, us), map(at, vs)), map(at, ws)))
+    rows.add(prefix[f])
+    rows.add(prefix[n])  # periodicity: e(n) = e(0) = 0
+    reduced, pivots = integer_rref(sorted(map(unpack, rows)), n_classes)
 
     # Over δ = L·γ, L[c] = A[t_c + 1] unit lower triangular, a row a is a·L⁻¹;
     # its columns are reversed for the null space (see the module docstring).
-    lower = [prefix[t] for t in firsts]
+    lower = [unpack(prefix[t]) for t in lower_at]
     reversed_rows: List[List[int]] = []
     for a in reduced[: len(pivots)]:
         b = list(a)
@@ -309,19 +343,19 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[F
         reversed_rows.append(b[::-1])
     d, vectors = integer_nullspace(reversed_rows, n_classes)
 
+    # e(t_c) sums γ over the steps before t_c, whose classes are below c.
+    between = [cls[a:b] for a, b in zip(starts, starts[1:])]
     basis: List[List[Fraction]] = []
     for v in reversed(vectors):
         delta = v[::-1]
-        # e(t_c + 1) = δ(c) fixes γ(c) at the first step of c.
-        e: List[int] = []
-        gamma: List[int] = []
+        gamma = [delta[0]]
+        get, push = gamma.__getitem__, gamma.append
         x = 0
-        for c in cls:
-            e.append(x)
-            if c == len(gamma):
-                gamma.append(delta[c] - x)
-            x += gamma[c]
-        assert x == 0
+        for dc, seg in zip(delta[1:], between):
+            x += sum(map(get, seg))
+            push(dc - x)
+        e = [0, *accumulate(map(get, cls))]
+        assert e.pop() == 0
         # A basis vector takes few distinct values; build each Fraction once.
         value = {y: Fraction(y, d) for y in set(e)}
         basis.append(list(map(value.__getitem__, e)))

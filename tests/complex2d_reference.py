@@ -3,7 +3,9 @@
 A frozen copy of the original, unscaled ``enumerate_faces`` and
 ``additivity_report``: every face is clipped with ``Fraction`` coordinates
 and every (I, J, K) triple is scanned.  The tests compare the library's
-integer-scaled kernel against it face by face.
+integer-scaled kernel against it face by face.  The projections p1, p2 and
+p3 of a face, and the limits of Δπ that read them, are taken from the
+Fraction vertices, as ``DeltaFace`` took them before it read its integers.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from groupcut.complex2d import DeltaFace, delta_pi, delta_pi_limit
-from groupcut.pwl import PwlPeriodic
+from groupcut.complex2d import DeltaFace, delta_pi
+from groupcut.pwl import AT, LEFT, RIGHT, PwlPeriodic
 
 Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction]
@@ -127,6 +129,32 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     return sorted(seen.values(), key=lambda f: (f.dim, f.vertices))
 
 
+def projections(face: DeltaFace) -> Tuple[Interval, Interval, Interval]:
+    """(p1, p2, p3): min and max of x, of y and of x + y over the vertices."""
+    xs = [x for x, _ in face.vertices]
+    ys = [y for _, y in face.vertices]
+    zs = [x + y for x, y in face.vertices]
+    return (min(xs), max(xs)), (min(ys), max(ys)), (min(zs), max(zs))
+
+
+def _side(coord: Fraction, proj: Interval) -> str:
+    lo, hi = proj
+    if lo == hi:
+        return AT
+    if coord == lo:
+        return RIGHT
+    if coord == hi:
+        return LEFT
+    return AT
+
+
+def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, vertex: Point) -> Fraction:
+    """Limit of Δπ at a vertex from the relative interior of the face."""
+    u, v = vertex
+    sides = [_side(c, p) for c, p in zip((u, v, u + v), projections(face))]
+    return fn.limit(u, sides[0]) + fn.limit(v, sides[1]) - fn.limit(u + v, sides[2])
+
+
 def _relint_sample(fn: PwlPeriodic, face: DeltaFace) -> Point | None:
     """A relative-interior point whose x, y, x+y avoid all breakpoint lines."""
     verts = face.vertices
@@ -188,9 +216,11 @@ def _reduce_mod_1(lo: Fraction, hi: Fraction) -> List[Interval]:
     return [(lo, Fraction(1)), (Fraction(0), hi - 1)]
 
 
-def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
-    """Classify the additive part of the complex and the covered intervals."""
-    faces = enumerate_faces(fn)
+def additivity_report(fn: PwlPeriodic, faces: Sequence[DeltaFace] | None = None) -> AdditivityReport:
+    """Classify the additive part of the complex and the covered intervals;
+    ``faces``, if given, is ``enumerate_faces(fn)``."""
+    if faces is None:
+        faces = enumerate_faces(fn)
     additive = [f for f in faces if is_additive_face(fn, f)]
     maximal = []
     for f in additive:
@@ -211,9 +241,8 @@ def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
     for f in additive:
         if f.dim != 2:
             continue
-        covered.append(f.p1)
-        covered.append(f.p2)
-        covered.extend(_reduce_mod_1(*f.p3))
+        p1, p2, p3 = projections(f)
+        covered += [p1, p2, *_reduce_mod_1(*p3)]
     return AdditivityReport(
         additive_faces=tuple(additive),
         maximal_faces=tuple(maximal),

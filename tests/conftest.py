@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+import complex2d_reference
 from groupcut import (
     PsiParams,
     affine_combine,
@@ -12,6 +14,15 @@ from groupcut import (
 )
 
 F = Fraction
+
+
+@pytest.fixture(scope="session")
+def eager_faces():
+    """``complex2d_reference.enumerate_faces``, run once per function for the
+    whole session.  The eager Fraction complex is the slowest part of the
+    tests that compare against it, and several of them read the complex of
+    the same fixture; its faces are frozen, so they can be shared."""
+    return cache(complex2d_reference.enumerate_faces)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from complex2d_reference import _merge_intervals, _reduce_mod_1
+from complex2d_reference import _merge_intervals, _reduce_mod_1, projections
 from groupcut.complex2d import DeltaFace
 from groupcut.solver import Run
 
@@ -53,7 +53,6 @@ def covered_intervals(faces: Sequence[DeltaFace]) -> Tuple[Interval, ...]:
     for face in faces:
         if face.dim != 2:
             continue
-        covered.append(face.p1)
-        covered.append(face.p2)
-        covered.extend(_reduce_mod_1(*face.p3))
+        p1, p2, p3 = projections(face)
+        covered += [p1, p2, *_reduce_mod_1(*p3)]
     return _merge_intervals(covered)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from complex2d_reference import delta_vertices
-from groupcut.complex2d import delta_pi, delta_pi_limit, enumerate_faces
+from complex2d_reference import delta_pi_limit, delta_vertices
+from groupcut.complex2d import delta_pi, enumerate_faces
 from groupcut.minimality import (
     NEGATIVITY,
     ORIGIN_VALUE,

@@ -45,11 +45,10 @@ def read_all(faces):
     return faces
 
 
-def assert_matches_eager(fn):
+def assert_matches_eager(fn, expected):
     """Three fresh enumerations, one per operation, so that ``==``, ``hash``
     and ``repr`` each meet faces no one has read; then the same on faces
-    read first."""
-    expected = ref.enumerate_faces(fn)
+    read first.  ``expected`` is the eager complex of fn."""
     unread = enumerate_faces(fn)
     assert all(not built_fields(face) for face in unread)
     assert unread == expected
@@ -62,19 +61,20 @@ def assert_matches_eager(fn):
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_psi_stages_match_eager(psi45_stages, k):
-    assert_matches_eager(psi45_stages[k])
+def test_psi_stages_match_eager(psi45_stages, eager_faces, k):
+    assert_matches_eager(psi45_stages[k], eager_faces(psi45_stages[k]))
 
 
 @pytest.mark.parametrize("name", ["psm", "jump_combo_k1", "jump_combo_k2", "jump_minimal"])
-def test_fixtures_match_eager(name):
-    assert_matches_eager(with_f_breakpoint(FIXTURES[name]))
+def test_fixtures_match_eager(name, eager_faces):
+    fn = with_f_breakpoint(FIXTURES[name])
+    assert_matches_eager(fn, eager_faces(fn))
 
 
 @given(breakpoint_sets())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_generated_breakpoint_sets_match_eager(fn):
-    assert_matches_eager(fn)
+    assert_matches_eager(fn, ref.enumerate_faces(fn))
 
 
 def test_extremality_builds_no_face_fractions(psi45_stages, monkeypatch):
@@ -114,23 +114,38 @@ def test_replace_derives_integers_from_the_new_fractions(psi45_stages):
     assert built_fields(moved) == list(LAZY)
 
 
-def test_faces_from_fractions_classify_like_the_enumeration(psi45_stages):
+def test_faces_from_fractions_classify_like_the_enumeration(psi45_stages, eager_faces):
     """The eager reference faces carry their own, smaller scales; the
     classification rescales them to the function's."""
     fn = psi45_stages[2]
-    eager = ref.enumerate_faces(fn)
+    eager = eager_faces(fn)
     assert any(face._u.q < fn.denominator_lcm() for face in eager)
     assert classify_additive(fn, eager) == classify_additive(fn, enumerate_faces(fn))
     with pytest.raises(ValueError, match="not a face of this complex"):
         classify_additive(fn, [DeltaFace(0, (F(1, 7),) * 2, (F(0),) * 2, (F(1, 7),) * 2, ((F(1, 7), F(0)),))])
 
 
-def test_unread_faces_pickle_and_copy(psi45_stages):
+def test_unread_faces_pickle_and_copy(psi45_stages, eager_faces):
     fn = psi45_stages[2]
-    expected = ref.enumerate_faces(fn)
+    expected = eager_faces(fn)
     for clone in (lambda fs: pickle.loads(pickle.dumps(fs)), copy.deepcopy, lambda fs: list(map(copy.copy, fs))):
         faces = enumerate_faces(fn)
         cloned = clone(faces)
         assert cloned == expected
         assert [face_ring(face) for face in cloned] == [ref.face_ring(face) for face in expected]
         assert classify_additive(fn, cloned) == classify_additive(fn, expected)
+
+
+@pytest.mark.parametrize("name", ["psm", "combo_k2", "jump_combo_k1", "jump_minimal"])
+def test_projections_read_the_integers(name, eager_faces):
+    """``p1``, ``p2`` and ``p3`` are read from a face's integers, build no
+    Fraction field, and are ``==`` to the min and max over the Fraction
+    vertices, on lazy and on eager faces."""
+    fn = with_f_breakpoint(FIXTURES[name])
+    faces = enumerate_faces(fn)
+    got = [(face.p1, face.p2, face.p3) for face in faces]
+    assert [face for face in faces if built_fields(face)] == []
+    assert got == [ref.projections(face) for face in faces]
+    assert all(type(c) is Fraction for ps in got for p in ps for c in p)
+    eager = eager_faces(fn)
+    assert [(face.p1, face.p2, face.p3) for face in eager] == got
