@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from . import pwl
 from .pwl import (
     PwlPeriodic,
     affine_combine,
@@ -38,11 +39,21 @@ MU_LT_1 = "mu_lt_1"
 MU_EQ_1 = "mu_eq_1"
 
 
+def _check_psi_size(n: int) -> None:
+    """Refuse psi_n, which has 2^(n+1) breakpoints, above ``MAX_GRID_N``
+    breakpoints, without building 2^(n+1): 2^k > M exactly when k is at
+    least the bit length of M."""
+    if n + 1 >= pwl.MAX_GRID_N.bit_length():
+        raise ValueError(f"psi_{n} has 2^{n + 1} breakpoints, more than the bound of {pwl.MAX_GRID_N}")
+
+
 def generate_eps(f, n: int, variant: str = MU_LT_1) -> List[Fraction]:
-    """Standard geometric bump amplitudes eps_1..eps_n for psi_n."""
+    """Standard geometric bump amplitudes eps_1..eps_n for psi_n; an n whose
+    psi_n would pass ``MAX_GRID_N`` breakpoints is refused."""
     f = Fraction(f)
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_psi_size(n)
     if variant == MU_LT_1:
         if not 0 < f <= Fraction(4, 5):
             raise ValueError(f"variant {variant} requires 0 < f <= 4/5, got {f}")
@@ -85,8 +96,11 @@ def psi_stages(params: PsiParams) -> List[PwlPeriodic]:
     Each step replaces every maximal positive-slope segment [a, b] by a
     rise to ((a+b-eps)/2, mid + eps/(2(1-f))), a fall to
     ((a+b+eps)/2, mid - eps/(2(1-f))), and a rise back to (b, psi(b)),
-    where mid is the old value at (a+b)/2.
+    where mid is the old value at (a+b)/2.  Every stage doubles the
+    positive-slope segments, so psi_n has 2^(n+1) breakpoints; above
+    ``MAX_GRID_N`` of them it is refused before any stage is built.
     """
+    _check_psi_size(len(params.eps))
     f = params.f
     pts: List[Tuple[Fraction, Fraction]] = [
         (Fraction(0), Fraction(0)),

@@ -20,10 +20,14 @@ that owns it, so no face is built twice and dropped as a duplicate.
 Each face keeps its integers, its sorted vertices and its triple scaled by
 q, and builds its Fraction fields on first read through one memoizing
 unscaler that the whole enumeration shares; dividing by q > 0 keeps every
-order the kernel sorts by.  The additivity classification, the symmetry
-test and the drawing ring read the integers, so a continuous extremality
-test builds no face's Fractions.  The report keeps each additive face's
-integer projections, which the covered intervals and the grid runs read.
+order the kernel sorts by.  One evaluator, ``_scaled_pi``, reads π at the
+scaled coordinates over one denominator: its value, and at a breakpoint
+its two one-sided limits.  Δπ at the vertices and every limit of Δπ along
+a face read it, each side taken from the face's integer projections: the
+minimality test and the additivity classification build no Fraction but
+a witness's.  The drawing ring reads the integers, and the report keeps
+each additive face's integer projections for the covered intervals and
+the grid runs.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from itertools import repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .pwl import AT, LEFT, RIGHT, PwlPeriodic
+from .pwl import PwlPeriodic
 from .rational import scale_to_integers
 
 Point = Tuple[Fraction, Fraction]
@@ -45,6 +49,7 @@ Interval = Tuple[Fraction, Fraction]
 IntPoint = Tuple[int, int]
 IntInterval = Tuple[int, int]
 _Projections = Tuple[int, int, int, int, int, int]
+Triple = Tuple[int, int, int]  # d·(left limit, value, right limit) of π at a scaled coordinate
 
 
 class _Scaled:
@@ -387,16 +392,19 @@ def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
     return n, sorted(verts)
 
 
-def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[List[int], int]:
-    """(slacks, d): d·Δπ at each scaled vertex (x, y) of ``verts``, as
+def _scaled_pi(fn: PwlPeriodic, n: int, points: Iterable[IntPoint]) -> Tuple[Dict[int, Triple], int]:
+    """(lim, d): lim[t] = d·(left limit, value, right limit) of π at t/n for
+    each t among x, y and x + y (mod n) of the scaled points in [0, n)², as
     integers over one common denominator d > 0.  n must be a multiple of
     ``fn.denominator_lcm()``.
 
-    fn is evaluated once per distinct coordinate t of x, y and x + y (mod n),
-    never on the whole grid: on the piece [b, b′) the value at t/n is
-    c + m·t for rationals c and m, so with every c, m and breakpoint value
-    over d, the value at t is the integer c·d + m·d·t, or the value stored
-    at b when t/n = b.
+    fn is evaluated once per distinct coordinate t, never on the whole grid:
+    on the piece [b, b′) the value at t/n is c + m·t for rationals c and m,
+    so with every c, m and breakpoint value over d, the value at t is the
+    integer c·d + m·d·t.  At t/n = b it is the value stored at b, the right
+    limit is the line of [b, b′) at t, and the left limit the line of the
+    piece before, read at n for b = 0: the limit from below at 1.  Off the
+    breakpoints π is continuous, and all three are the value.
     """
     pts = [_scale(b, n) for b in fn.breakpoints]
     starts = [r - s * b for b, (_, _, r), s in zip(fn.breakpoints, fn.limits, fn.slopes)]
@@ -405,11 +413,40 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
     k = len(pts)
     ints, d = scale_to_integers(starts + steps + ats)
     starts, steps, ats = ints[:k], ints[k : 2 * k], ints[2 * k :]
-    value: Dict[int, int] = {}
-    for t in {t for x, y in verts for t in (x, y, (x + y) % n)}:
+    lim: Dict[int, Triple] = {}
+    for t in {t for x, y in points for t in (x, y, (x + y) % n)}:
         i = bisect_right(pts, t) - 1
-        value[t] = ats[i] if pts[i] == t else starts[i] + steps[i] * t
-    return [value[x] + value[y] - value[(x + y) % n] for x, y in verts], d
+        v = starts[i] + steps[i] * t
+        lim[t] = (starts[i - 1] + steps[i - 1] * (t or n), ats[i], v) if pts[i] == t else (v, v, v)
+    return lim, d
+
+
+def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[List[int], int]:
+    """(slacks, d): d·Δπ at each scaled vertex (x, y) in [0, n)² of ``verts``
+    as integers, over the d > 0 of ``_scaled_pi``."""
+    lim, d = _scaled_pi(fn, n, verts)
+    return [lim[x][1] + lim[y][1] - lim[(x + y) % n][1] for x, y in verts], d
+
+
+def _face_limits(lim: Dict[int, Triple], n: int, face: DeltaFace, points=None) -> List[int]:
+    """d·the limit of Δπ from the relative interior of the face at each
+    scaled point, by default at each of its sorted vertices, all scaled by
+    n; ``lim`` and d are those of ``_scaled_pi`` at scale n.
+
+    Each of x, y and x + y reads the right limit at the low end of its
+    projection, the left limit at the high end, and the value elsewhere or
+    on a projection that is one point: index 1 + (c == lo) − (c == hi) of
+    its triple.  Inside a projection of F(I, J, K) a coordinate lies inside
+    the interval I, J or K, off every breakpoint, where π is continuous.
+    """
+    sv = _vertices_at(face, n)
+    x0, x1, y0, y1, z0, z1 = _projections(sv)
+    return [
+        lim[x % n][1 + (x == x0) - (x == x1)]
+        + lim[y % n][1 + (y == y0) - (y == y1)]
+        - lim[(x + y) % n][1 + (x + y == z0) - (x + y == z1)]
+        for x, y in (sv if points is None else points)
+    ]
 
 
 def delta_vertices(fn: PwlPeriodic) -> List[Point]:
@@ -443,50 +480,14 @@ def delta_pi(fn: PwlPeriodic, x, y) -> Fraction:
     return fn(x) + fn(y) - fn(Fraction(x) + Fraction(y))
 
 
-def _side(coord: Fraction, proj: Interval) -> str:
-    lo, hi = proj
-    if lo == hi:
-        return AT
-    if coord == lo:
-        return RIGHT
-    if coord == hi:
-        return LEFT
-    return AT
-
-
-def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, vertex: Point) -> Fraction:
-    """Limit of Δπ at a vertex approached from the relative interior of face.
-
-    The approach direction of each of x, y and x+y is read off from the
-    position of the vertex inside the corresponding projection of the face;
-    coordinates interior to a projection are continuity points of fn.
-    """
-    u, v = vertex
-    w = u + v
-    s1 = _side(u, face.p1)
-    s2 = _side(v, face.p2)
-    s3 = _side(w, face.p3)
-    return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(w, s3)
-
-
-def _is_additive_with_limits(fn: PwlPeriodic, face: DeltaFace) -> bool:
-    """Whether Δπ vanishes on the relative interior of a face of a function
-    with jumps: every limit along the face, and for a 2-D face its value at
-    the barycenter of the vertices.
-
-    A 2-D face is F(I, J, K) with I, J and K elementary intervals of the
-    breakpoints (were one a single point, the face would lie on a line), so
-    its interior lies strictly inside I, J and K.  The barycenter of the
-    vertices of a polygon is an interior point; hence its x, y and x + y avoid
-    every breakpoint line, and fn is continuous at each of them.
-    """
-    verts = face.vertices
-    if any(delta_pi_limit(fn, face, v) != 0 for v in verts):
-        return False
-    if face.dim != 2:
-        return True
-    n = len(verts)
-    return delta_pi(fn, sum(x for x, _ in verts) / n, sum(y for _, y in verts) / n) == 0
+def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, point: Point) -> Fraction:
+    """Limit of Δπ at a point of the face from its relative interior, read at
+    the scale n that the complex, the face and the point share."""
+    x, y = map(Fraction, point)
+    n = lcm(fn.denominator_lcm(), face._u.q, x.denominator, y.denominator)
+    pt = (_scale(x, n), _scale(y, n))
+    lim, d = _scaled_pi(fn, n, [(pt[0] % n, pt[1] % n)])
+    return Fraction(_face_limits(lim, n, face, [pt])[0], d)
 
 
 def _additive_scaled(
@@ -495,26 +496,25 @@ def _additive_scaled(
     """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
     their ``_projections`` scaled by q, read from each face's integers."""
     q = fn.denominator_lcm()
-    kept: List[DeltaFace] = []
-    scaled: List[_Projections] = []
-    if not fn.is_continuous():
-        for face in faces:
-            if _is_additive_with_limits(fn, face):
-                kept.append(face)
-                scaled.append(_projections(_vertices_at(face, q)))
-        return q, kept, scaled
     _, verts = scaled_vertices(fn)
-    slacks, _ = scaled_slacks(fn, q, verts)
-    # Δπ is periodic: a vertex on x = q or y = q reads the slack at 0.
-    zero = {v for v, s in zip(verts, slacks) if not s}
-    zero |= {(q, y) for x, y in zero if not x}
-    zero |= {(x, q) for x, y in zero if not y}
-    for face in faces:
-        sv = _vertices_at(face, q)
-        if zero.issuperset(sv):
-            kept.append(face)
-            scaled.append(_projections(sv))
-    return q, kept, scaled
+    if fn.is_continuous():
+        slacks, _ = scaled_slacks(fn, q, verts)
+        # Δπ is periodic: a vertex on x = q or y = q reads the slack at 0.
+        zero = {v for v, s in zip(verts, slacks) if not s}
+        zero |= {(q, y) for x, y in zero if not x}
+        zero |= {(x, q) for x, y in zero if not y}
+        kept = [face for face in faces if zero.issuperset(_vertices_at(face, q))]
+    else:
+        # Every limit along the face vanishes, and on a 2-D face Δπ at the
+        # barycenter, inside I, J and K, at scale m·q: m = lcm(vertex counts).
+        lim, _ = _scaled_pi(fn, q, verts)
+        kept = [face for face in faces if not any(_face_limits(lim, q, face))]
+        flat = [_vertices_at(face, q) for face in kept if face.dim == 2]
+        m = lcm(*map(len, flat))
+        centers = [(m // len(v) * sum(x for x, _ in v), m // len(v) * sum(y for _, y in v)) for v in flat]
+        slacks = iter(scaled_slacks(fn, m * q, centers)[0])
+        kept = [face for face in kept if face.dim < 2 or not next(slacks)]
+    return q, kept, [_projections(_vertices_at(face, q)) for face in kept]
 
 
 def _vertices_at(face: DeltaFace, q: int) -> Tuple[IntPoint, ...]:

@@ -14,12 +14,13 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .complex2d import (
+    _face_limits,
     _on_symmetry_line,
+    _scaled_pi,
     delta_pi,
     delta_pi_limit,
     enumerate_faces,
     find_face,
-    scaled_slacks,
     scaled_vertices,
 )
 from .pwl import PwlPeriodic
@@ -76,51 +77,40 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     if fn(fn.f) != 1:
         return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, fn(fn.f)))
 
-    continuous = fn.is_continuous()
-    faces = None if continuous else enumerate_faces(fn)
-    # Δπ at the vertices as integers over d; Fractions only for a witness.
+    # Δπ and its limits at the vertices as integers over d; Fractions only
+    # for a witness.
     q, verts = scaled_vertices(fn)
-    slacks, d = scaled_slacks(fn, q, verts)
+    lim, d = _scaled_pi(fn, q, verts)
+    slacks = [lim[x][1] + lim[y][1] - lim[(x + y) % q][1] for x, y in verts]
     f = int(fn.f * q)
 
-    def vertex_witness(kind: str, i: int) -> MinimalityVerdict:
-        x, y = verts[i]
-        return MinimalityVerdict(
-            False, MinimalityWitness(kind, (Fraction(x, q), Fraction(y, q)), Fraction(slacks[i], d))
-        )
+    def witness(kind: str, location, slack: int, face=None) -> MinimalityVerdict:
+        face_vertices = None if face is None else face.vertices
+        return MinimalityVerdict(False, MinimalityWitness(kind, location, Fraction(slack, d), face_vertices))
 
     # Symmetry: Δπ must vanish on the line x + y = f (mod 1).
-    for i, ((x, y), slack) in enumerate(zip(verts, slacks)):
+    for (x, y), slack in zip(verts, slacks):
         if slack and (x + y - f) % q == 0:
-            return vertex_witness(SYMMETRY, i)
-    if not continuous:
-        for face in faces:
-            if face.dim != 1 or not _on_symmetry_line(face, fn.f):
-                continue
-            for vert in face.vertices:
-                slack = delta_pi_limit(fn, face, vert)
-                if slack != 0:
-                    return MinimalityVerdict(
-                        False,
-                        MinimalityWitness(SYMMETRY, vert, slack, face.vertices),
-                    )
-
-    # Subadditivity: Δπ >= 0 at every vertex, including one-sided limits
-    # along every incident face when there are jumps.
-    if continuous:
-        for i, slack in enumerate(slacks):
+            return witness(SYMMETRY, (Fraction(x, q), Fraction(y, q)), slack)
+    # Subadditivity: Δπ >= 0 at every vertex.
+    if fn.is_continuous():
+        for (x, y), slack in zip(verts, slacks):
             if slack < 0:
-                return vertex_witness(SUBADDITIVITY, i)
-    else:
-        for face in faces:
-            for vert in face.vertices:
-                slack = delta_pi_limit(fn, face, vert)
-                if slack < 0:
-                    return MinimalityVerdict(
-                        False,
-                        MinimalityWitness(SUBADDITIVITY, vert, slack, face.vertices),
-                    )
+                return witness(SUBADDITIVITY, (Fraction(x, q), Fraction(y, q)), slack)
+        return MinimalityVerdict(True)
 
+    # With jumps, the same for the one-sided limits along the faces: on the
+    # 1-D faces of the symmetry line, and along every face.
+    faces = enumerate_faces(fn)
+    for face in faces:
+        if face.dim == 1 and _on_symmetry_line(face, fn.f):
+            for i, slack in enumerate(_face_limits(lim, q, face)):
+                if slack:
+                    return witness(SYMMETRY, face.vertices[i], slack, face)
+    for face in faces:
+        for i, slack in enumerate(_face_limits(lim, q, face)):
+            if slack < 0:
+                return witness(SUBADDITIVITY, face.vertices[i], slack, face)
     return MinimalityVerdict(True)
 
 

@@ -153,7 +153,8 @@ def limit(fn: PwlPeriodic, x, side: str) -> Fraction:
     return fn.limit(x, side)
 
 
-# The largest grid n = m·q sampled or solved on.  Sampling costs n Fractions,
+# The largest grid n = m·q sampled or solved on, and the most breakpoints a
+# construction (``precompose_scale``, psi_n) builds.  Sampling costs n Fractions,
 # and extremality is linear in n: extremality_test(gmic((d-1)/d)) took 0.58 s
 # at n = 30,000 and 5.0 s at n = 300,000 (2 CPUs, Python 3.11), so about 17 s
 # at the bound.
@@ -225,12 +226,17 @@ def precompose_scale(fn: PwlPeriodic, lam: int) -> PwlPeriodic:
     """x -> fn(lam * x) for a nonzero integer lam (group automorphism).
 
     The new f is the smallest positive representative f' with
-    lam * f' = fn.f (mod 1).
+    lam * f' = fn.f (mod 1).  The |lam| preimages of each breakpoint are
+    distinct, so a result of more than ``MAX_GRID_N`` of them is refused
+    before any is built.
     """
     if type(lam) is not int:
         raise ValueError(f"scale factor lam must be an integer, got {lam!r}")
     if lam == 0:
         raise ValueError("scale factor must be nonzero")
+    count = abs(lam) * len(fn.breakpoints)
+    if count > MAX_GRID_N:
+        raise ValueError(f"x -> fn({lam}x) has {count} breakpoints, more than the bound of {MAX_GRID_N}")
     # Preimages of the breakpoints, reduced to [0,1); a negative lam swaps
     # the left and right limits.
     pre = sorted({((b + t) / lam) % 1 for b in fn.breakpoints for t in range(abs(lam))})

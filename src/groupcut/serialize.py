@@ -169,7 +169,9 @@ def dumps(obj: dict) -> str:
 
 
 def loads(text: str) -> Any:
+    """The parsed document; malformed JSON, or JSON nested deeper than the
+    decoder's recursion allows, raises ``SchemaError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None

@@ -12,10 +12,12 @@ from fractions import Fraction
 from typing import List, NamedTuple
 
 from .complex2d import (
+    _face_limits,
+    _scaled_pi,
     classify_additive,
-    delta_pi_limit,
     enumerate_faces,
     face_ring,
+    scaled_vertices,
     vertex_slacks,
 )
 from .minimality import with_f_breakpoint
@@ -199,14 +201,17 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
             svg.line(px(x0), py(z - x0), px(x1), py(z - x1), stroke="black", width="3")
 
     # Red dots at subadditivity violations.
-    violations = set()
     if fn.is_continuous():
-        violations.update(vert for vert, _, slack in vertex_slacks(fn) if slack < 0)
+        violations = {vert for vert, _, slack in vertex_slacks(fn) if slack < 0}
     else:
-        for face in faces:
-            for vert in face.vertices:
-                if delta_pi_limit(fn, face, vert) < 0:
-                    violations.add((vert[0] % 1, vert[1] % 1))
+        q, verts = scaled_vertices(fn)
+        lim, _ = _scaled_pi(fn, q, verts)
+        violations = {
+            (face.vertices[i][0] % 1, face.vertices[i][1] % 1)
+            for face in faces
+            for i, slack in enumerate(_face_limits(lim, q, face))
+            if slack < 0
+        }
     for u, v in sorted(violations):
         svg.circle(px(u), py(v), 5, fill="red")
 
