@@ -62,9 +62,9 @@ class _Scaled:
 class DeltaFace(_Scaled):
     """One face F(I,J,K) of the complex, stored with its vertex set.
 
-    A face of ``enumerate_faces`` or ``find_face`` builds each Fraction
-    field from its integers on first read; one built from Fractions derives
-    its integers in ``__post_init__``.
+    A face of ``enumerate_faces`` builds each Fraction field from its
+    integers on first read; one built from Fractions derives its integers
+    in ``__post_init__``.
     """
 
     dim: int
@@ -259,8 +259,9 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     be a face and I0, J0 the smallest faces of the breakpoint complex that
     contain its projections.  Any triple that gives P has I ⊇ I0, and I is
     I0 or an interval that contains the point I0 and so comes after it;
-    likewise for J.  Hence no cell before I0×J0 gives P, and I0×J0 does
-    (see ``find_face``).
+    likewise for J.  No cell before I0×J0 gives P, and I0×J0 does: if
+    P = F(I, J, K) and proj_x(P) ⊆ I′ ⊆ I, then P ⊆ F(I′, J, K) ⊆ P; the
+    same holds for J, so F(I0, J0, K) = P.
 
     - P meets the relative interior of exactly one cell, I0×J0, unless P
       lies on x = q or y = q.  A projection of P is a breakpoint below q
@@ -313,62 +314,6 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
 def face_ring(face: DeltaFace) -> List[Point]:
     """Vertices of the face in counter-clockwise ring order (for drawing)."""
     return [face._u[v] for v in _ring(*face._ints[1:])]
-
-
-def _smallest_face(
-    ends: Sequence[int], last_is_point: bool, lo: int, hi: int
-) -> Optional[IntInterval]:
-    """Smallest face of the 1-D complex on the sorted ``ends`` containing
-    [lo, hi]; every end but possibly the last is a 0-face."""
-    if lo < ends[0] or hi > ends[-1]:
-        return None
-    i = bisect_right(ends, lo) - 1
-    if lo == hi == ends[i] and (i < len(ends) - 1 or last_is_point):
-        return (lo, lo)
-    i = min(i, len(ends) - 2)
-    if hi > ends[i + 1]:
-        return None
-    return (ends[i], ends[i + 1])
-
-
-def find_face(fn: PwlPeriodic, vertices) -> Optional[DeltaFace]:
-    """The face of the complex with exactly this vertex tuple, or None.
-
-    Built directly instead of searched for.  If P = I×J ∩ {x+y ∈ K} is a
-    face and I′ is an elementary face with proj_x(P) ⊆ I′ ⊆ I, then
-    P ⊆ I′×J ∩ {x+y ∈ K} ⊆ P, so shrinking I to I′ leaves P unchanged; the
-    same holds for J and K.  Hence P is cut out by the smallest elementary
-    faces I0, J0, K0 containing its projections, which the vertices give,
-    and F(I0, J0, K0) is the only candidate.  The triple returned is the
-    representative that ``enumerate_faces`` keeps for the same vertex set,
-    except in K at the vertex of a point cell: there K0 is the point
-    {x + y}, and ``enumerate_faces`` keeps the first K of the cell's slice,
-    the interval that ends at x + y when x + y > 0.  The vertices, and so
-    every limit of Δπ along the face, are the same.
-    """
-    target = tuple(vertices)
-    if not target:
-        return None
-    q, pts = _scaled_breakpoints(fn)
-    scaled = []
-    for x, y in target:
-        if q % x.denominator or q % y.denominator:
-            return None
-        scaled.append((_scale(x, q), _scale(y, q)))
-    xs = [x for x, _ in scaled]
-    ys = [y for _, y in scaled]
-    zs = [x + y for x, y in scaled]
-    xy_ends = pts + [q]
-    ix = _smallest_face(xy_ends, False, min(xs), max(xs))
-    iy = _smallest_face(xy_ends, False, min(ys), max(ys))
-    iz = _smallest_face(_sum_ends(pts, q), True, min(zs), max(zs))
-    if ix is None or iy is None or iz is None:
-        return None
-    ring = _ring(ix, iy, iz)
-    verts = tuple(sorted(ring))
-    if verts != tuple(scaled):
-        return None
-    return _face(min(len(ring) - 1, 2), (verts, ix, iy, iz), _Unscaler(q))
 
 
 def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
@@ -456,22 +401,6 @@ def delta_vertices(fn: PwlPeriodic) -> List[Point]:
     return [u[v] for v in verts]
 
 
-def vertex_slacks(fn: PwlPeriodic) -> List[Tuple[Point, bool, Fraction]]:
-    """The vertices of ``delta_vertices(fn)`` in its order, each with whether
-    it lies on the symmetry line x + y = f (mod 1) and with Δπ there.
-
-    The value of Δπ is ``delta_pi`` at the vertex, read from
-    ``scaled_slacks``.
-    """
-    q, verts = scaled_vertices(fn)
-    slacks, d = scaled_slacks(fn, q, verts)
-    f = _scale(fn.f, q)
-    u = _Unscaler(q)
-    return [
-        (u[v], (v[0] + v[1] - f) % q == 0, Fraction(s, d)) for v, s in zip(verts, slacks)
-    ]
-
-
 # -- Δπ and additivity ---------------------------------------------------------
 
 
@@ -482,8 +411,11 @@ def delta_pi(fn: PwlPeriodic, x, y) -> Fraction:
 
 def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, point: Point) -> Fraction:
     """Limit of Δπ at a point of the face from its relative interior, read at
-    the scale n that the complex, the face and the point share."""
+    the scale n that the complex, the face and the point share.  Raises
+    ValueError for a point outside the face."""
     x, y = map(Fraction, point)
+    if not face.contains((x, y)):
+        raise ValueError(f"({x}, {y}) is not a point of the face")
     n = lcm(fn.denominator_lcm(), face._u.q, x.denominator, y.denominator)
     pt = (_scale(x, n), _scale(y, n))
     lim, d = _scaled_pi(fn, n, [(pt[0] % n, pt[1] % n)])
@@ -505,15 +437,8 @@ def _additive_scaled(
         zero |= {(x, q) for x, y in zero if not y}
         kept = [face for face in faces if zero.issuperset(_vertices_at(face, q))]
     else:
-        # Every limit along the face vanishes, and on a 2-D face Δπ at the
-        # barycenter, inside I, J and K, at scale m·q: m = lcm(vertex counts).
         lim, _ = _scaled_pi(fn, q, verts)
         kept = [face for face in faces if not any(_face_limits(lim, q, face))]
-        flat = [_vertices_at(face, q) for face in kept if face.dim == 2]
-        m = lcm(*map(len, flat))
-        centers = [(m // len(v) * sum(x for x, _ in v), m // len(v) * sum(y for _, y in v)) for v in flat]
-        slacks = iter(scaled_slacks(fn, m * q, centers)[0])
-        kept = [face for face in kept if face.dim < 2 or not next(slacks)]
     return q, kept, [_projections(_vertices_at(face, q)) for face in kept]
 
 
@@ -535,6 +460,11 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
     vertices where it vanishes are kept with their translates onto x = 1
     and y = 1, each face is one subset test of its integer vertices, and
     the cost follows the number of vertices, not q.
+
+    With jumps, the same holds for the limits of Δπ at the vertices: inside
+    F(I, J, K) each of x, y and x + y is one constant or runs off the
+    breakpoints, so Δπ is affine, L_I(x) + L_J(y) − L_K(x + y), and the
+    vertex limits are its values at the vertices.
     """
     return _additive_scaled(fn, faces)[1]
 

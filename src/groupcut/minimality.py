@@ -9,6 +9,7 @@ because the slack Δπ is affine on the relative interior of every face.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -18,9 +19,7 @@ from .complex2d import (
     _on_symmetry_line,
     _scaled_pi,
     delta_pi,
-    delta_pi_limit,
     enumerate_faces,
-    find_face,
     scaled_vertices,
 )
 from .pwl import PwlPeriodic
@@ -115,29 +114,58 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
 
 
 def verify_witness(fn: PwlPeriodic, witness: MinimalityWitness) -> bool:
-    """Recompute a witness from scratch and confirm it still violates."""
-    fn = with_f_breakpoint(fn)
-    if witness.kind == ORIGIN_VALUE:
-        return fn(witness.location) == witness.value != 0
-    if witness.kind == NEGATIVITY:
-        return witness.value < 0 and witness.value in fn.limits_at(witness.location)
-    if witness.kind == SYMMETRY:
-        if isinstance(witness.location, tuple):
-            u, v = witness.location
-            if (u + v - fn.f) % 1:
-                return False
-            if witness.face_vertices is None:
-                return delta_pi(fn, u, v) == witness.value != 0
-            face = find_face(fn, witness.face_vertices)
-            return face is not None and delta_pi_limit(fn, face, (u, v)) == witness.value != 0
-        return fn(witness.location) == witness.value != 1
-    if witness.kind == SUBADDITIVITY:
-        u, v = witness.location
-        if witness.face_vertices is None:
-            return delta_pi(fn, u, v) == witness.value < 0
-        face = find_face(fn, witness.face_vertices)
-        return face is not None and delta_pi_limit(fn, face, (u, v)) == witness.value < 0
-    return False
+    """Recompute a witness from scratch and confirm it still violates.
+
+    fn is read canonical and with f a breakpoint, as ``minimality_test``
+    reads it.  An ``originValue`` must sit at 0 and a one-point ``symmetry``
+    at f (mod 1).  A face witness is checked with ``delta_pi`` alone: its
+    value must be the ``_segment_limit`` L at its location p, with L < 0,
+    or for ``symmetry`` L ≠ 0 and every vertex on one line x + y ≡ f.  Δπ
+    is affine on (p, c], so Δπ < 0 (≠ 0) at its points near p: real
+    violations, even if the vertices are no face.  The witnesses of
+    ``minimality_test`` pass: (p, c] runs inside their face, and no b + k
+    lies inside its projections.
+    """
+    fn = with_f_breakpoint(fn.canonicalize())
+    kind, location, value, face = witness.kind, witness.location, witness.value, witness.face_vertices
+    if kind == ORIGIN_VALUE:
+        return location % 1 == 0 and fn(location) == value != 0
+    if kind == NEGATIVITY:
+        return value < 0 and value in fn.limits_at(location)
+    if kind == SYMMETRY and not isinstance(location, tuple):
+        return (location - fn.f) % 1 == 0 and fn(location) == value != 1
+    if kind not in (SYMMETRY, SUBADDITIVITY):
+        return False
+    u, v = location
+    slack = delta_pi(fn, u, v) if face is None else _segment_limit(fn, face, (u, v))
+    if kind == SUBADDITIVITY:
+        return slack == value < 0
+    on_line = face is None or len({x + y for x, y in face}) == 1
+    return on_line and (u + v - fn.f) % 1 == 0 and slack == value != 0
+
+
+def _segment_limit(fn: PwlPeriodic, vertices, point) -> Optional[Fraction]:
+    """2·Δπ(m) − Δπ(c), the limit of Δπ at p = point along (p, c], with c
+    the barycenter of the vertices and m the midpoint of p and c.  None
+    unless p lies in the closed ranges of x, y and x + y over the vertices,
+    and no b + k (b a breakpoint, k an integer) lies inside any of them.
+    Then on (p, c] each of x, y and x + y is one constant or runs inside its
+    range (c's is the mean), where π is one line: Δπ(p + t·(c − p)) is
+    α + β·t for t in (0, 1], whose limit at p is α = 2·(α + β/2) − (α + β).
+    """
+    if not vertices:
+        return None
+    u, v = point
+    xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
+    bkpts = fn.breakpoints
+    for t, ts in ((u, xs), (v, ys), (u + v, [x + y for x, y in vertices])):
+        lo, hi = min(ts), max(ts)
+        k = lo // 1
+        i = bisect_right(bkpts, lo - k)
+        if not lo <= t <= hi or k + (bkpts[i] if i < len(bkpts) else 1) < hi:
+            return None
+    cx, cy = Fraction(sum(xs), len(xs)), Fraction(sum(ys), len(ys))
+    return 2 * delta_pi(fn, (u + cx) / 2, (v + cy) / 2) - delta_pi(fn, cx, cy)
 
 
 def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdict:

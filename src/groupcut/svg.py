@@ -17,8 +17,8 @@ from .complex2d import (
     classify_additive,
     enumerate_faces,
     face_ring,
+    scaled_slacks,
     scaled_vertices,
-    vertex_slacks,
 )
 from .minimality import with_f_breakpoint
 from .pwl import PwlPeriodic
@@ -201,10 +201,11 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
             svg.line(px(x0), py(z - x0), px(x1), py(z - x1), stroke="black", width="3")
 
     # Red dots at subadditivity violations.
+    q, verts = scaled_vertices(fn)
     if fn.is_continuous():
-        violations = {vert for vert, _, slack in vertex_slacks(fn) if slack < 0}
+        slacks, _ = scaled_slacks(fn, q, verts)
+        violations = {(Fraction(x, q), Fraction(y, q)) for (x, y), s in zip(verts, slacks) if s < 0}
     else:
-        q, verts = scaled_vertices(fn)
         lim, _ = _scaled_pi(fn, q, verts)
         violations = {
             (face.vertices[i][0] % 1, face.vertices[i][1] % 1)

@@ -277,8 +277,8 @@ def delta_vertices(fn: PwlPeriodic) -> List[Point]:
 
 
 def find_face_linear(fn: PwlPeriodic, vertices, faces=None) -> DeltaFace | None:
-    """The original witness-face lookup: a scan of the whole complex
-    (``faces``, when the caller already enumerated it)."""
+    """The face with exactly this vertex tuple, or None: a scan of the
+    whole complex (``faces``, when the caller already enumerated it)."""
     for face in enumerate_faces(fn) if faces is None else faces:
         if face.vertices == tuple(vertices):
             return face

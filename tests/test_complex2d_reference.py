@@ -17,18 +17,20 @@ from groupcut import (
     PsiParams,
     additivity_report,
     affine_combine,
-    delta_pi_limit,
     delta_vertices,
     enumerate_faces,
     generate_eps,
     gmic,
     make_pwl,
+    minimality_test,
     precompose_scale,
     projected_sequential_merge,
     psi_stages,
+    verify_witness,
     with_f_breakpoint,
 )
-from groupcut.complex2d import face_ring, find_face
+from groupcut.complex2d import face_ring
+from groupcut.minimality import SUBADDITIVITY, SYMMETRY, MinimalityWitness
 
 F = Fraction
 F45 = F(4, 5)
@@ -112,22 +114,9 @@ def test_precompose_scale_images_match_reference(f, scaling):
 
 
 class TestFindFace:
-    @pytest.mark.parametrize("name", ["gmic", "psi_1", "psm", "jump_combo_k1", "jump_minimal"])
-    def test_agrees_with_linear_search(self, name, eager_faces):
-        # The direct construction may keep a smaller (I, J, K) triple than
-        # the representative of the enumeration; everything a witness check
-        # reads (dimension, vertices, and so the limits of Δπ) must agree.
-        fn = with_f_breakpoint(FIXTURES[name])
-        complex_ = eager_faces(fn)
-        for face in enumerate_faces(fn):
-            found = find_face(fn, face.vertices)
-            linear = ref.find_face_linear(fn, face.vertices, complex_)
-            assert linear == face
-            assert found is not None
-            assert (found.dim, found.vertices) == (face.dim, face.vertices)
-            assert [delta_pi_limit(fn, found, v) for v in face.vertices] == [
-                delta_pi_limit(fn, face, v) for v in face.vertices
-            ]
+    """Vertex sets that are no face of the complex, named by forged
+    witnesses on gmic(4/5): it is minimal, so no witness is genuine, and
+    none may verify, whatever face it names."""
 
     @pytest.mark.parametrize(
         "vertices",
@@ -150,7 +139,10 @@ class TestFindFace:
     def test_non_face_vertex_sets(self, gmic45, vertices):
         fn = with_f_breakpoint(gmic45)
         assert ref.find_face_linear(fn, vertices) is None
-        assert find_face(fn, vertices) is None
+        assert minimality_test(fn).minimal
+        for point in vertices or [(F(0), F(0))]:
+            for kind, value in ((SUBADDITIVITY, F(-1, 4)), (SYMMETRY, F(-1, 4)), (SYMMETRY, F(5, 2))):
+                assert not verify_witness(fn, MinimalityWitness(kind, point, value, vertices))
 
 
 def test_report_extras_are_lazy(gmic45):

@@ -1,10 +1,11 @@
 """Additivity of the faces of functions with jumps against the
 plain-Fraction reference, on derandomized generated inputs.
 
-A face of a discontinuous function is additive when every limit of Δπ along
-it vanishes and, for a 2-D face, Δπ vanishes at the barycenter of its
-vertices.  The reference takes the first of several candidate interior
-samples that avoids every breakpoint line; the report must be ``==`` to it.
+A face of a discontinuous function is additive when every limit of Δπ at
+its vertices from its relative interior vanishes, since Δπ is affine there
+(``classify_additive`` carries the proof).  The reference also tests Δπ at
+an interior point of each 2-D face, the first of several candidate samples
+that avoids every breakpoint line; the report must be ``==`` to it.
 """
 
 from hypothesis import given, settings

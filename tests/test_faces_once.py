@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import complex2d_reference as ref
 from groupcut import additivity_report, complex2d, enumerate_faces, make_pwl
-from groupcut.complex2d import find_face
 
 F = Fraction
 
@@ -69,23 +68,6 @@ def test_one_ring_per_face(psi45_stages, monkeypatch):
     faces = enumerate_faces(psi45_stages[3])
     assert len(faces) == 2457
     assert len(calls) <= len(faces)
-
-
-def test_find_face_gives_the_representative(psi45_stages):
-    """Equal triples, except K at the vertex (x, y) of a point cell, where
-    ``find_face`` gives the point {x + y} and the walk the first K of the
-    cell's slice, the interval that ends at x + y."""
-    fn = psi45_stages[3]
-    for face in enumerate_faces(fn):
-        found = find_face(fn, face.vertices)
-        if found == face:
-            continue
-        (x, y), = face.vertices
-        assert face.interval_x == (x, x) and face.interval_y == (y, y)
-        assert found.interval_z == (x + y, x + y) and face.interval_z[1] == x + y
-        assert (found.dim, found.interval_x, found.interval_y, found.vertices) == (
-            face.dim, face.interval_x, face.interval_y, face.vertices
-        )
 
 
 def test_psi_4_complex_is_pinned(psi45_stages):

@@ -108,6 +108,16 @@ def test_coordinates_at_1_read_the_left_limit_stored_at_0():
     assert delta_pi_limit(fn, faces[(corner,)], corner) == 0 + 1 - 1
 
 
+def test_point_outside_the_face_is_refused():
+    fn = with_f_breakpoint(make_pwl(F45, [0], [(F(5, 4), 0, 0)]))
+    face = next(face for face in enumerate_faces(fn) if face.dim == 2)
+    outside = (face.interval_x[1] + 1, face.interval_y[0])
+    with pytest.raises(ValueError, match="not a point of the face"):
+        delta_pi_limit(fn, face, outside)
+    with pytest.raises(ValueError, match="not a point of the face"):
+        delta_pi_limit(fn, face, (F(1, 7), F(6, 7)))
+
+
 @pytest.mark.parametrize("name", [n for n in sorted(FIXTURES) if "jump" in n])
 def test_jump_path_reads_no_fraction_limit(name, monkeypatch):
     fn = FIXTURES[name]

@@ -18,6 +18,7 @@ from groupcut.minimality import (
     ORIGIN_VALUE,
     SUBADDITIVITY,
     SYMMETRY,
+    MinimalityWitness,
 )
 from groupcut.finite import first_subadditivity_violation
 
@@ -115,6 +116,14 @@ class TestWitnesses:
         assert verdict.witness.value == F(-1, 8)
         assert verdict.witness.face_vertices is not None
         assert verify_witness(fn, verdict.witness)
+
+    def test_origin_value_away_from_0_rejected(self, gmic45):
+        # gmic(4/5) is minimal; π(1/2) = 5/8 is no value at 0.
+        assert not verify_witness(gmic45, MinimalityWitness(ORIGIN_VALUE, F(1, 2), F(5, 8)))
+
+    def test_symmetry_point_away_from_f_rejected(self, gmic45):
+        # π(0) = 0 ≠ 1, but 0 is not f = 4/5.
+        assert not verify_witness(gmic45, MinimalityWitness(SYMMETRY, F(0), F(0)))
 
     def test_tampered_witness_rejected(self, gmic45):
         fn = frac_cut()

@@ -27,7 +27,7 @@ from groupcut import (
     pwl_from_values,
     with_f_breakpoint,
 )
-from groupcut.complex2d import vertex_slacks
+from groupcut.complex2d import scaled_slacks, scaled_vertices
 from groupcut.minimality import NEGATIVITY, ORIGIN_VALUE, SUBADDITIVITY, SYMMETRY
 
 F = Fraction
@@ -123,11 +123,15 @@ def test_generated_continuous_functions():
 @given(jump_functions())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_generated_jump_functions(fn):
-    # Functions with jumps share the vertex symmetry scan, and vertex_slacks
+    # Functions with jumps share the vertex symmetry scan, and scaled_slacks
     # must read the value stored at a breakpoint, not a one-sided limit.
     assert_same_verdict(fn)
     fn = with_f_breakpoint(fn)
-    assert vertex_slacks(fn) == ref.vertex_slacks(fn)
+    q, verts = scaled_vertices(fn)
+    slacks, d = scaled_slacks(fn, q, verts)
+    expected = ref.vertex_slacks(fn)
+    assert [(F(x, q), F(y, q)) for x, y in verts] == [v for v, _, _ in expected]
+    assert [F(s, d) for s in slacks] == [slack for _, _, slack in expected]
 
 
 @pytest.mark.parametrize("d", [10, 10**3, 10**6, 10**9, 10**12])

@@ -20,7 +20,7 @@ from groupcut import (
     gmic,
     with_f_breakpoint,
 )
-from groupcut.complex2d import vertex_slacks
+from groupcut.complex2d import scaled_slacks, scaled_vertices
 
 F = Fraction
 
@@ -94,9 +94,11 @@ def test_vertex_slacks_are_delta_pi(combos):
     fns = combos + [affine_combine(1, fn, -F(1, 3), sawtooth) for fn in combos]
     negative = 0
     for fn in map(with_f_breakpoint, fns):
-        expected = [
-            (v, (v[0] + v[1] - fn.f) % 1 == 0, delta_pi(fn, *v)) for v in delta_vertices(fn)
-        ]
-        assert vertex_slacks(fn) == expected
-        negative += any(slack < 0 for _, _, slack in expected)
+        q, verts = scaled_vertices(fn)
+        slacks, d = scaled_slacks(fn, q, verts)
+        vertices = delta_vertices(fn)
+        assert [(F(x, q), F(y, q)) for x, y in verts] == vertices
+        expected = [delta_pi(fn, *v) for v in vertices]
+        assert [F(s, d) for s in slacks] == expected
+        negative += any(slack < 0 for slack in expected)
     assert negative

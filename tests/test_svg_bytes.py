@@ -1,5 +1,7 @@
-"""SVG bytes: red dots read from ``complex2d.vertex_slacks`` and coordinates
-formatted in integers give the same documents as before."""
+"""SVG bytes: red dots read from the integer slacks of
+``complex2d.scaled_slacks`` (from the limits along the faces, with jumps),
+with Fractions built only for the dots, and coordinates formatted in
+integers give the same documents as before."""
 
 import hashlib
 from fractions import Fraction
