@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 when a command ran and produced its verdict/output (both
-"Minimal" and "NotMinimal" are successful runs), 1 for malformed input or
-bad parameters, 2 for internal errors.  All outputs are byte-deterministic.
+Exit codes: 0 for a completed run ("Minimal" and "NotMinimal" alike), 1 for
+malformed input or bad parameters, 2 for argparse's usage errors (such as a
+malformed integer option) and internal errors.  Outputs are byte-deterministic.
 
 The GROUPCUT_THREADS environment variable caps internal parallelism; the
 implementation is single-threaded, which satisfies any cap, but the value
@@ -67,28 +67,27 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+# construct's options and their parsers.  argparse parses the integers (a malformed
+# one is a usage error, exit 2), ``_cmd_construct`` the rest (malformed, exit 1).
+_CONSTRUCT_OPTIONS = {
+    "f": rat_parse,
+    "n": int,
+    "variant": str,
+    "q": int,
+    "f_index": int,
+    "values": lambda text: [rat_parse(v) for v in text.split(",")],
+    "s_plus": rat_parse,
+    "s_minus": rat_parse,
+}
+
+
 def _cmd_construct(args) -> int:
     from .compendium import REGISTRY, construct
 
     if args.name not in REGISTRY:
         raise InputError(f"unknown family {args.name!r}")
-    params = {}
-    if args.f is not None:
-        params["f"] = rat_parse(args.f)
-    if args.n is not None:
-        params["n"] = args.n
-    if args.variant is not None:
-        params["variant"] = args.variant
-    if args.q is not None:
-        params["q"] = args.q
-    if args.f_index is not None:
-        params["f_index"] = args.f_index
-    if args.values is not None:
-        params["values"] = [rat_parse(v) for v in args.values.split(",")]
-    if args.s_plus is not None:
-        params["s_plus"] = rat_parse(args.s_plus)
-    if args.s_minus is not None:
-        params["s_minus"] = rat_parse(args.s_minus)
+    given = vars(args)
+    params = {k: parse(given[k]) for k, parse in _CONSTRUCT_OPTIONS.items() if given[k] is not None}
     try:
         fn = construct(args.name, **params)
     except KeyError as exc:
@@ -164,12 +163,10 @@ def _cmd_apply(args) -> int:
         fn = affine_combine(
             rat_parse(args.a), _load_pwl(args.function), rat_parse(args.b), _load_pwl(args.other)
         )
-    elif args.operation == "projected_sequential_merge":
+    else:  # projected_sequential_merge, the last of argparse's choices
         from .compendium import projected_sequential_merge
 
         fn = projected_sequential_merge(_load_pwl(args.function), args.n)
-    else:
-        raise InputError(f"unknown operation {args.operation!r}")
     _emit(serialize.dumps(serialize.serialize_pwl(fn)), args.output)
     return 0
 
@@ -177,13 +174,8 @@ def _cmd_apply(args) -> int:
 def _cmd_plot(args) -> int:
     from .svg import plot_2d_diagram, plot_function
 
-    fn = _load_pwl(args.function)
-    if args.kind == "function":
-        _emit(plot_function(fn), args.output)
-    elif args.kind == "diagram":
-        _emit(plot_2d_diagram(fn), args.output)
-    else:
-        raise InputError(f"unknown plot kind {args.kind!r}")
+    plot = plot_function if args.kind == "function" else plot_2d_diagram  # argparse's choices
+    _emit(plot(_load_pwl(args.function)), args.output)
     return 0
 
 
@@ -196,14 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a registry family")
     p.add_argument("name")
-    p.add_argument("--f")
-    p.add_argument("--n", type=int)
-    p.add_argument("--variant")
-    p.add_argument("--q", type=int)
-    p.add_argument("--f-index", dest="f_index", type=int)
-    p.add_argument("--values", help="comma-separated rationals")
-    p.add_argument("--s-plus", dest="s_plus")
-    p.add_argument("--s-minus", dest="s_minus")
+    for name, parse in _CONSTRUCT_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=int if parse is int else None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_construct)
 

@@ -470,29 +470,31 @@ def classify_additive(fn: PwlPeriodic, faces: Sequence[DeltaFace]) -> List[Delta
 
 
 def _projections(verts: Sequence[IntPoint]) -> _Projections:
-    """min and max of x, of y and of x + y over the vertices, sorted as a
-    face keeps them: x from the ends, y and x + y in one pass."""
-    y0 = y1 = verts[0][1]
-    z0 = z1 = verts[0][0] + y0
-    for x, y in verts:
+    """min and max of x, of y and of x + y over a face's sorted vertices.
+    Every edge runs along x = c, y = c or x + y = c, and none leaves the first
+    vertex p with dx < 0 or along (0, -1): the edges at p run along (1, 0),
+    (0, 1) or (1, -1), where x and x + y fall along none.  The convex face
+    lies in their cone, so both are least at p and alike greatest at the
+    last vertex; only y needs a pass."""
+    (x0, y_first), (x1, y_last) = verts[0], verts[-1]
+    y0 = y1 = y_first
+    for _, y in verts:
         if y < y0:
             y0 = y
         elif y > y1:
             y1 = y
-        z = x + y
-        if z < z0:
-            z0 = z
-        elif z > z1:
-            z1 = z
-    return verts[0][0], verts[-1][0], y0, y1, z0, z1
+    return x0, x1, y0, y1, x0 + y_first, x1 + y_last
 
 
 def _on_symmetry_line(face: DeltaFace, f: Fraction) -> bool:
-    """Whether every vertex of the face lies on x + y = f (mod 1), tested
-    in the face's integers: (x + y - qf) % q == 0 at scale q."""
+    """Whether the face lies on x + y = f (mod 1), read at scale q from its
+    end vertices, where x + y is least and greatest (see ``_projections``).
+    No face meets two such lines: its x + y range is shorter than q, or is
+    [kq, kq + q] when 0 is the only breakpoint, and qf is not 0 (mod q)."""
     q = face._u.q
     t, r = divmod(f.numerator * q, f.denominator)
-    return not r and all((x + y - t) % q == 0 for x, y in face._ints[0])
+    (x0, y0), (x1, y1) = face._ints[0][0], face._ints[0][-1]
+    return not r and x0 + y0 == x1 + y1 and (x0 + y0 - t) % q == 0
 
 
 def _merge_intervals(intervals: Iterable[IntInterval]) -> List[List[int]]:
@@ -518,8 +520,8 @@ class AdditivityReport:
     additive_faces: Tuple[DeltaFace, ...]
     covered_intervals: Tuple[Interval, ...]
     f: Fraction
-    # q and the projections of each additive face scaled by q, in order:
-    # the grid runs read them instead of scaling the Fractions again.
+    # q and the projections of each additive face scaled by q, in order,
+    # computed once per face for the covered intervals and the grid runs.
     _scaled: Optional[Tuple[int, Tuple[_Projections, ...]]] = field(
         default=None, repr=False, compare=False
     )
@@ -579,8 +581,9 @@ def _additive_face_runs(report: AdditivityReport, n: int) -> List[Tuple[str, int
     m = n/q.  y0 = y1 gives a point or an h run, x0 = x1 a v run and z0 = z1 a
     d run; any other face is 2-D and convex, {x in p1, y in p2, x + y in p3},
     so its row y = j, j in p2, is max(x0, z0 - j) = lo <= x <= hi = min(x1, z1 - j).
-    lo falls by one a row up to j = z0 - x0 and is x0 after; hi is x1 up to
-    j = z1 - x1 and falls after: cut there, the rows are three zipped ranges.
+    lo falls by one a row up to j = z0 - x0, the first vertex's row (see
+    ``_projections``), and is x0 after; hi is x1 up to j = z1 - x1, the last
+    vertex's row, and falls after: cut there, the rows are three zipped ranges.
     """
     q, faces = report._scaled
     m = n // q
@@ -594,7 +597,7 @@ def _additive_face_runs(report: AdditivityReport, n: int) -> List[Tuple[str, int
         elif z0 == z1:
             runs.append(("d", z0, x0, x1))
         else:
-            cuts = sorted({y0, y1 + 1} | {c for c in (z0 - x0 + 1, z1 - x1 + 1) if y0 < c <= y1})
+            cuts = sorted({y0, y1 + 1, z0 - x0 + 1, z1 - x1 + 1})
             for a, b in zip(cuts, cuts[1:]):
                 lo = range(z0 - a, z0 - b, -1) if a <= z0 - x0 else repeat(x0)
                 hi = repeat(x1) if a <= z1 - x1 else range(z1 - a, z1 - b, -1)

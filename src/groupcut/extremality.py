@@ -57,8 +57,9 @@ class ExtremalityVerdict:
 def _additive_system(
     fn: PwlPeriodic, oversampling: int
 ) -> Tuple[PwlPeriodic, int, int, AdditivityReport, List[Run]]:
-    """fn with f as a breakpoint, the grid n = oversampling·q, the index of f
-    on it, the additivity report and the additive runs on the grid.
+    """fn canonical and with f as a breakpoint, so that inputs equal under
+    ``==`` get one answer; the grid n = oversampling·q, the index of f on
+    it, the additivity report and the additive runs on the grid.
 
     A discontinuous fn, an oversampling factor that is not an ``int`` or is
     below 3, and a grid n above ``MAX_GRID_N`` are refused before the
@@ -70,12 +71,12 @@ def _additive_system(
         raise ValueError(f"oversampling must be an integer, got {oversampling!r}")
     if oversampling < 3:
         raise ValueError("oversampling factor must be at least 3")
+    fn = with_f_breakpoint(fn.canonicalize())
     n = oversampling * fn.denominator_lcm()
     check_grid_size(n)
     mv = minimality_test(fn)
     if not mv.minimal:
         raise ValueError(f"extremality test requires a minimal function: {mv.witness}")
-    fn = with_f_breakpoint(fn)
     report = additivity_report(fn)
     return fn, n, int(fn.f * n), report, _additive_face_runs(report, n)
 

@@ -115,11 +115,11 @@ def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]
     """The first pair (i, j), i <= j, in ascending order of i and then j,
     with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.  Row i of
     ``_slack_rows`` from j0 = i has a clear top bit exactly in the lanes of
-    violations; only the first row with one is scanned pair by pair.
+    violations; only the first row with one is scanned pair by pair.  iv
+    must be non-empty, as ``_slack_rows`` needs: every caller passes the
+    q >= 2 values of a ``FiniteGroupFn``.
     """
     n = len(iv)
-    if not n:
-        return None
     _, row = _slack_rows(iv)
     for i in range(n):
         lanes, high = row(i, i)

@@ -169,7 +169,8 @@ def _segment_limit(fn: PwlPeriodic, vertices, point) -> Optional[Fraction]:
 
 
 def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdict:
-    """Brute-force check of the minimality conditions on ((1/(refine*q))Z)^2:
+    """Brute-force check of the minimality conditions on ((1/(refine*q))Z)^2,
+    q that of the canonical fn (one answer for inputs equal under ``==``):
     the finite-group test of the restriction of fn to that grid.
 
     Only function *values* on the grid are inspected.  For continuous
@@ -179,4 +180,4 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
     # Imported here because finite imports this module.
     from .finite import finite_minimality_test, restrict_to_finite_group
 
-    return finite_minimality_test(restrict_to_finite_group(fn, fn.denominator_lcm(), refine))
+    return finite_minimality_test(restrict_to_finite_group(fn, fn.canonicalize().denominator_lcm(), refine))

@@ -287,17 +287,14 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[F
     for kind, c, lo, hi in runs:
         if lo > hi:
             continue
-        if kind == "h":
-            us.append(lo)
+        # A[u] + A[v] - A[u + v] is symmetric: a v run's anchor (c, lo) is (lo, c).
+        if kind == "h" or kind == "v":
             vs.append(c)
-        elif kind == "v":
-            us.append(c)
-            vs.append(lo)
         elif kind == "d":
-            us.append(lo)
             vs.append(c - lo)
         else:
             raise ValueError(f"unknown run kind {kind!r}")
+        us.append(lo)
     cls = _difference_classes(n, runs)
     # t_c, the first step of each class c: the last value a dict keeps.
     first = dict(zip(reversed(cls), range(n - 1, -1, -1)))

@@ -46,8 +46,6 @@ def _fmt(x) -> str:
 
 class _Svg:
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
         self.parts: List[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -96,14 +94,12 @@ def _graph_segments(fn: PwlPeriodic):
     return segs, dots
 
 
-def plot_function(fn: PwlPeriodic, width: int = 640, height: int = 360) -> str:
-    """Graph of one period with open/closed dots at jump discontinuities."""
+def plot_function(fn: PwlPeriodic) -> str:
+    """Graph of one period, 640 by 360 pixels, with open/closed dots at jumps."""
     fn = fn.canonicalize()
-    margin = 40
+    width, height, margin = 640, 360, 40
     ys = [y for (l, v, r) in fn.limits for y in (l, v, r)]
-    y_lo, y_hi = min(ys + [Fraction(0)]), max(ys + [Fraction(1)])
-    if y_lo == y_hi:
-        y_hi = y_lo + 1
+    y_lo, y_hi = min(ys + [Fraction(0)]), max(ys + [Fraction(1)])  # y_lo <= 0 < 1 <= y_hi
     span_x = width - 2 * margin
     span_y = height - 2 * margin
 
@@ -128,8 +124,8 @@ def plot_function(fn: PwlPeriodic, width: int = 640, height: int = 360) -> str:
     return svg.render()
 
 
-def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
-    """Additivity diagram on the unit square.
+def plot_2d_diagram(fn: PwlPeriodic) -> str:
+    """Additivity diagram on the unit square, 720 pixels a side.
 
     Additive faces are green (two-dimensional filled, lower-dimensional
     drawn as lines/dots), the symmetry line is heavy, subadditivity
@@ -138,7 +134,7 @@ def plot_2d_diagram(fn: PwlPeriodic, size: int = 720) -> str:
     top and left margins.
     """
     fn = with_f_breakpoint(fn.canonicalize())
-    margin = 90
+    size, margin = 720, 90
     span = size - 2 * margin
 
     # Pixel coordinates stay unreduced integer pairs; see _fmt.

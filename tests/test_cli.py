@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from groupcut import serialize
+from groupcut import construct, serialize
 from groupcut.cli import main
 
 
@@ -51,6 +52,43 @@ class TestConstruct:
     )
     def test_error_names_the_family_and_parameter(self, capsys, argv, message):
         assert run(capsys, "construct", *argv) == (1, "", f"error: {message}\n")
+
+
+class TestConstructOptions:
+    """Every option of ``construct`` reaches the family's parameters."""
+
+    @pytest.mark.parametrize(
+        "argv, name, params",
+        [
+            (
+                ("two_slope_fill_in", "--q", "5", "--f-index", "4", "--values", "0,1/4,1/2,3/4,1",
+                 "--s-plus", "5/4", "--s-minus", "-5"),
+                "two_slope_fill_in",
+                dict(q=5, f_index=4, values=[F(0), F(1, 4), F(1, 2), F(3, 4), F(1)],
+                     s_plus=F(5, 4), s_minus=F(-5)),
+            ),
+            (
+                ("psi_n", "--f", "1/2", "--n", "2", "--variant", "mu_eq_1"),
+                "psi_n",
+                dict(f=F(1, 2), n=2, variant="mu_eq_1"),
+            ),
+        ],
+        ids=["two_slope_fill_in", "psi_n-mu_eq_1"],
+    )
+    def test_matches_the_library(self, capsys, argv, name, params):
+        expected = serialize.dumps(serialize.serialize_pwl(construct(name, **params)))
+        assert run(capsys, "construct", *argv) == (0, expected, "")
+
+    def test_malformed_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "psi_n", "--f", "1/2", "--n", "x"])
+        assert exc.value.code == 2
+        assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_malformed_rational_is_malformed_input(self, capsys):
+        argv = ("two_slope_fill_in", "--q", "5", "--f-index", "4", "--values", "0,x",
+                "--s-plus", "5/4", "--s-minus", "-5")
+        assert run(capsys, "construct", *argv) == (1, "", "error: not a rational literal: 'x'\n")
 
 
 class TestList:
@@ -112,6 +150,54 @@ class TestTestCommands:
         code, out, err = run(capsys, "test", "minimality", str(path))
         assert code == 1
         assert "$.f" in err
+
+
+class TestPointWitnesses:
+    """A point witness's location is one rational in the stdout document."""
+
+    @pytest.mark.parametrize(
+        "doc, witness",
+        [
+            ('"f":"1/2","breakpoints":["0"],"limits":[["1","1","1"]]',
+             '{"kind":"originValue","location":"0","value":"1"}'),
+            ('"f":"1/2","breakpoints":["0","1/4","1/2"],'
+             '"limits":[["0","0","0"],["-1/4","-1/4","-1/4"],["1","1","1"]]',
+             '{"kind":"negativity","location":"1/4","value":"-1/4"}'),
+            ('"f":"1/2","breakpoints":["0","1/2"],"limits":[["0","0","0"],["1/2","1/2","1/2"]]',
+             '{"kind":"symmetry","location":"1/2","value":"1/2"}'),
+        ],
+        ids=["originValue", "negativity", "symmetry"],
+    )
+    def test_stdout_bytes(self, capsys, tmp_path, doc, witness):
+        path = tmp_path / "fn.json"
+        path.write_text('{"schema_version":1,' + doc + "}")
+        expected = (
+            '{"schema_version":1,"test":"minimality","status":"NotMinimal","witness":'
+            + witness + "}\n"
+        )
+        assert run(capsys, "test", "minimality", str(path)) == (0, expected, "")
+
+
+class TestLoaderRefusals:
+    """Each refusal of the loaders exits 1 and names its JSON path."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('"f":"1/2","breakpoints":"0","limits":[]', "$.breakpoints/limits: expected arrays"),
+            ('"f":"1/2","breakpoints":["0"],"limits":[]', "$.limits: length differs from breakpoints"),
+            ('"f":"1/2","breakpoints":["0"],"limits":[["0","0"]]',
+             "$.limits[0]: expected [left, value, right]"),
+            ('"q":4,"values":["0","1","0","1"]', "$.f_index: missing"),
+            ('"q":4,"f_index":2,"values":"0"', "$.values: expected an array"),
+            ('"q":1,"f_index":0,"values":["0"]', "$: group order must be at least 2"),
+        ],
+        ids=["not-arrays", "lengths", "not-a-triple", "missing-key", "values-not-array", "finite-invalid"],
+    )
+    def test_exit_1_with_the_path(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version":1,' + doc + "}")
+        assert run(capsys, "test", "minimality", str(path)) == (1, "", f"error: {message}\n")
 
 
 class TestRestrictInterpolate:
