@@ -12,11 +12,12 @@ is the lcm of the denominators of f and the breakpoints: a vertex is where
 two lines of distinct families meet, and x = b, y = b′ and x + y = b″ with
 b, b′, b″ in (1/q)Z meet only at points of (1/q)Z².  So the kernel scales
 every breakpoint by q and runs in integers.  A face needs no polygon
-clipping: the lines x + y = c are parallel, so every vertex of F(I,J,K) lies
-on a side of the box I×J, where the strip x + y ∈ K cuts one interval with
-integer ends; walking the four sides lists the vertices in order, and their
-number gives the dimension.  Each face is built once, by the one cell I×J
-that owns it, so no face is built twice and dropped as a duplicate.
+clipping: the lines x + y = c are parallel, so F(I,J,K) is the box I×J cut
+by at most two of them, and its vertices, in sorted order, are closed forms
+in the box's corners and the points where those lines cross its sides; the
+kinds of I, J and K give the dimension.  Each face is built once, by the
+one cell I×J that owns it, so no face is built twice and dropped as a
+duplicate, and each dimension is sorted on one packed integer key.
 Each face keeps its integers, its sorted vertices and its triple scaled by
 q, and builds its Fraction fields on first read through one memoizing
 unscaler that the whole enumeration shares; dividing by q > 0 keeps every
@@ -25,9 +26,9 @@ scaled coordinates over one denominator: its value, and at a breakpoint
 its two one-sided limits.  Δπ at the vertices and every limit of Δπ along
 a face read it, each side taken from the face's integer projections: the
 minimality test and the additivity classification build no Fraction but
-a witness's.  The drawing ring reads the integers, and the report keeps
-each additive face's integer projections for the covered intervals and
-the grid runs.
+a witness's.  The drawing ring is rebuilt from the sorted vertices, and
+the report keeps each additive face's integer projections for the covered
+intervals and the grid runs.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def _scale(x: Fraction, q: int) -> int:
     return x.numerator * (q // x.denominator)
 
 
+# The complex has O(B²) vertices and faces for B breakpoints; a larger B is
+# refused before any of them is built.
+MAX_BREAKPOINTS = 256
+
+
+def _check_breakpoints(count: int) -> None:
+    """Raise ValueError, naming the bound, if count exceeds ``MAX_BREAKPOINTS``."""
+    if count > MAX_BREAKPOINTS:
+        raise ValueError(f"{count} breakpoints exceed the bound of {MAX_BREAKPOINTS} for the complex")
+
+
 def _scaled_breakpoints(fn: PwlPeriodic) -> Tuple[int, List[int]]:
     """q and the breakpoints scaled by q: sorted integers in [0, q)."""
     q = fn.denominator_lcm()
@@ -182,63 +194,6 @@ def _sum_faces(ends: Sequence[int]) -> List[IntInterval]:
     return out
 
 
-def _ring(ix: IntInterval, iy: IntInterval, iz: IntInterval) -> List[IntPoint]:
-    """F(ix, iy, iz) = {x in ix, y in iy, x + y in iz} as a counter-clockwise
-    ring of its distinct vertices; empty if the face is.
-
-    The lines x + y = z0 and x + y = z1 are parallel, so every vertex lies
-    on a side of the box ix×iy, and on each side the part inside the strip
-    is one closed interval [lo, hi].  Walking the ends of these intervals
-    along the bottom, right, top and left sides lists the vertices in order;
-    a point equal to the one before it, or the last equal to the first, is
-    a corner met twice and is listed once.
-    """
-    (x0, x1), (y0, y1), (z0, z1) = ix, iy, iz
-    ring: List[IntPoint] = []
-    lo, hi = z0 - y0, z1 - y0
-    if lo < x0:
-        lo = x0
-    if hi > x1:
-        hi = x1
-    if lo <= hi:
-        ring.append((lo, y0))
-        if lo != hi:
-            ring.append((hi, y0))
-    lo, hi = z0 - x1, z1 - x1
-    if lo < y0:
-        lo = y0
-    if hi > y1:
-        hi = y1
-    if lo <= hi:
-        if not ring or ring[-1] != (x1, lo):
-            ring.append((x1, lo))
-        if lo != hi:
-            ring.append((x1, hi))
-    lo, hi = z0 - y1, z1 - y1
-    if lo < x0:
-        lo = x0
-    if hi > x1:
-        hi = x1
-    if lo <= hi:
-        if not ring or ring[-1] != (hi, y1):
-            ring.append((hi, y1))
-        if lo != hi:
-            ring.append((lo, y1))
-    lo, hi = z0 - x0, z1 - x0
-    if lo < y0:
-        lo = y0
-    if hi > y1:
-        hi = y1
-    if lo <= hi:
-        if not ring or ring[-1] != (x0, hi):
-            ring.append((x0, hi))
-        if lo != hi:
-            ring.append((x0, lo))
-    if len(ring) > 1 and ring[0] == ring[-1]:
-        ring.pop()
-    return ring
-
-
 def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
     """All distinct faces of the complex, sorted by (dim, vertex list).
 
@@ -280,40 +235,129 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
       other K that gives that corner alone.  A point cell is the
       exception: every K of its slice gives the same vertex, and the first
       K is the one kept.
+
+    The vertices in closed form.  Write I×J = [x0, x1]×[y0, y1].  The box
+    meets the line x + y = c, s0 <= c <= s1, where max(x0, c − y1) <= x <=
+    min(x1, c − y0): in the chord from P(c) = (max(x0, c − y1), ·) on its
+    left or top side to Q(c) = (min(x1, c − y0), ·) on its bottom or right
+    side, each second coordinate being c minus the first.  For s0 < c < s1
+    in a box cell (x0 < x1 and y0 < y1) each lower bound on x is below each
+    upper one, so P(c) comes before Q(c); in a segment cell they are one
+    point.  So a point K = {c} gives the point P(c) of a segment cell, or
+    the chord P(c)Q(c) of a box cell.  An interval K = (a, b) gives the
+    segment of a segment cell from its point at a′ = max(a, s0) to that at
+    b′ = min(b, s1), and in a box cell the polygon between the chords at a′
+    and b′.  Its vertices are the ends of the two chords and the corners of
+    the box strictly inside the strip a < x + y < b: (x0, y0) and (x1, y1)
+    are inside only as the one-point chords P(s0) = Q(s0) and
+    P(s1) = Q(s1), and (x0, y1) and (x1, y0) lie on no chord then.  Each is
+    a vertex, where the chord's direction (1, −1) meets a side's or two
+    sides meet.  Sorted, they are P(a′), [(x0, y1)], Q(a′) and P(b′) in
+    either order, [(x1, y0)], Q(b′), a one-point chord listed once: P(a′)
+    has the least x, and the least y at that x; (x0, y1), when inside, is
+    the only other point at x = x0, as P(b′) then lies on the top side and
+    Q(a′) right of x0; alike (x1, y0) and Q(b′) at x = x1.
+
+    The sort.  A vertex has coordinates in [0, q], so the digits of an
+    integer in base q + 1 order its vertices as tuples.  A 0-D face is keyed
+    by its vertex, a 1-D face by its two and a 2-D face by its first three:
+    no three vertices of a convex polygon lie on one line, and two distinct
+    2-D faces of the complex meet in at most one edge, so no two share
+    three vertices, and the key order is the order of the vertex tuples.
     """
     q, pts = _scaled_breakpoints(fn)
+    _check_breakpoints(len(pts))
     faces_xy = _interval_faces(pts, q)
     faces_z = _sum_faces(_sum_ends(pts, q))
     z_lo = [lo for lo, _ in faces_z]
     z_hi = [hi for _, hi in faces_z]
-    by_dim: Tuple[List, List, List] = ([], [], [])
+    r = q + 1
+    # The faces of each dimension, by their packed key.
+    points: Dict[int, tuple] = {}
+    segments: Dict[int, tuple] = {}
+    polygons: Dict[int, tuple] = {}
     for ix in faces_xy:
         x0, x1 = ix
         for iy in faces_xy:
             y0, y1 = iy
-            if x0 == x1 and y0 == y1:
-                first = bisect_left(z_hi, x0 + y0)
-                last = first + 1
+            s0, s1 = x0 + y0, x1 + y1
+            if s0 == s1:
+                points[x0 * r + y0] = (((x0, y0),), ix, iy, faces_z[bisect_left(z_hi, s0)])
+                continue
+            first, last = bisect_right(z_hi, s0), bisect_left(z_lo, s1)
+            if x0 == x1:
+                for iz in faces_z[first:last]:
+                    a, b = iz
+                    if a == b:
+                        points[x0 * r + a - x0] = (((x0, a - x0),), ix, iy, iz)
+                    else:
+                        lo = a - x0 if a > s0 else y0
+                        hi = b - x0 if b < s1 else y1
+                        segments[((x0 * r + lo) * r + x0) * r + hi] = (((x0, lo), (x0, hi)), ix, iy, iz)
+                corner = y1 == q
+            elif y0 == y1:
+                for iz in faces_z[first:last]:
+                    a, b = iz
+                    if a == b:
+                        points[(a - y0) * r + y0] = (((a - y0, y0),), ix, iy, iz)
+                    else:
+                        lo = a - y0 if a > s0 else x0
+                        hi = b - y0 if b < s1 else x1
+                        segments[((lo * r + y0) * r + hi) * r + y0] = (((lo, y0), (hi, y0)), ix, iy, iz)
+                corner = x1 == q
             else:
-                first = bisect_right(z_hi, x0 + y0)
-                last = bisect_left(z_lo, x1 + y1)
-                if (x1 == q or x0 == x1) and (y1 == q or y0 == y1):
-                    last += 1
-            for iz in faces_z[first:last]:
-                ring = _ring(ix, iy, iz)
-                n = len(ring)
-                by_dim[2 if n > 2 else n - 1].append((tuple(sorted(ring)), ix, iy, iz))
+                top_left, bottom_right = x0 + y1, x1 + y0
+                for iz in faces_z[first:last]:
+                    a, b = iz
+                    if a == b:
+                        p = (x0, a - x0) if a - y1 <= x0 else (a - y1, y1)
+                        t = (a - y0, y0) if a - y0 <= x1 else (x1, a - x1)
+                        segments[((p[0] * r + p[1]) * r + t[0]) * r + t[1]] = ((p, t), ix, iy, iz)
+                        continue
+                    # P(a′), [(x0, y1)], Q(a′) and P(b′) sorted, [(x1, y0)], Q(b′).
+                    if a > s0:
+                        verts = [(x0, a - x0) if a - y1 <= x0 else (a - y1, y1)]
+                        inner = [(a - y0, y0) if a - y0 <= x1 else (x1, a - x1)]
+                    else:
+                        verts, inner = [(x0, y0)], []
+                    if a < top_left < b:
+                        verts.append((x0, y1))
+                    if b < s1:
+                        inner.append((x0, b - x0) if b - y1 <= x0 else (b - y1, y1))
+                        inner.sort()
+                        end = (b - y0, y0) if b - y0 <= x1 else (x1, b - x1)
+                    else:
+                        end = (x1, y1)
+                    verts += inner
+                    if a < bottom_right < b:
+                        verts.append((x1, y0))
+                    verts.append(end)
+                    (ax, ay), (bx, by), (cx, cy) = verts[:3]
+                    polygons[((((ax * r + ay) * r + bx) * r + by) * r + cx) * r + cy] = (tuple(verts), ix, iy, iz)
+                corner = x1 == q and y1 == q
+            if corner:
+                points[x1 * r + y1] = (((x1, y1),), ix, iy, faces_z[last])
     u = _Unscaler(q)
     faces = []
-    for dim, entries in enumerate(by_dim):
-        entries.sort()  # vertex tuples are distinct: no comparison goes past them
-        faces += [_face(dim, ints, u) for ints in entries]
+    for dim, found in enumerate((points, segments, polygons)):
+        faces += [_face(dim, found[key], u) for key in sorted(found)]
+        found.clear()  # its keys are read: free them before the next dimension's faces
     return faces
 
 
 def face_ring(face: DeltaFace) -> List[Point]:
-    """Vertices of the face in counter-clockwise ring order (for drawing)."""
-    return [face._u[v] for v in _ring(*face._ints[1:])]
+    """Vertices of the face in counter-clockwise ring order (for drawing),
+    from its lowest vertex, the leftmost of those.  Sorted, a convex
+    polygon's vertices below the line from its first to its last one form
+    the lower chain, and those above it, in reverse, the upper."""
+    verts = face._ints[0]
+    (px, py), (lx, ly) = verts[0], verts[-1]
+    lower, upper = [verts[0]], []
+    for x, y in verts[1:-1]:
+        (lower if (lx - px) * (y - py) < (ly - py) * (x - px) else upper).append((x, y))
+    ring = lower + [verts[-1]] * (len(verts) > 1) + upper[::-1]
+    start = ring.index(min(ring, key=lambda v: (v[1], v[0])))
+    return [face._u[v] for v in ring[start:] + ring[:start]]
 
 
 def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
@@ -326,8 +370,9 @@ def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
     """
     n = lcm(*(fn.denominator_lcm() for fn in fns))
     pts = sorted({_scale(b, n) for fn in fns for b in fn.breakpoints})
-    verts = {(bx, by) for bx in pts for by in pts}
+    _check_breakpoints(len(pts))
     sums = _sum_ends(pts, n)
+    verts = {(bx, by) for bx in pts for by in pts}
     for b in pts:
         for z in sums:
             c = z - b

@@ -171,7 +171,8 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     )
     if not basis:
         return verdict
-    # perturbation_space returns its basis in reduced row echelon form.
+    # perturbation_space returns its basis in reduced row echelon form, and
+    # lifts only the vectors read: here the first.
     bar = interpolate_perturbation(basis[0], n, fn_b.f)
     eps = epsilon_ratio_test(fn_b, bar)
     pi_plus = affine_combine(1, fn_b, eps, bar)
@@ -179,8 +180,9 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     if not (minimality_test(pi_plus).minimal and minimality_test(pi_minus).minimal):
         raise RuntimeError("could not validate a perturbation certificate")
     # Normalize so the certified interval is fn ± 1 * perturbation;
-    # the admissible magnitude is absorbed into the perturbation.
-    scaled_bar = affine_combine(eps, bar, 0, bar)
+    # the admissible magnitude is absorbed into the perturbation.  bar is
+    # continuous and canonical, and ε > 0 keeps every change of slope.
+    scaled_bar = PwlPeriodic(bar.f, bar.breakpoints, [(eps * v,) * 3 for _, v, _ in bar.limits])
     return replace(verdict, certificate=PerturbationCertificate(
         perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
     ))

@@ -233,7 +233,7 @@ def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
     from .solver import perturbation_space  # so that a restriction alone never loads the solver
 
     runs = _additive_runs(g._integers[0])
-    return perturbation_space(g.q, g.f_index, runs)
+    return list(perturbation_space(g.q, g.f_index, runs))
 
 
 def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:

@@ -99,10 +99,11 @@ row space being unique.  So the system is solved once, over δ:
    back reversed and in reverse order, has d at each vector's free column,
    zeros at the other free columns and its other entries to the right: it
    is d times rref over δ;
-4. each vector is lifted in O(n): γ(c) = δ(c) - e(t_c), where e(t_c) is
-   e(t_{c-1}) plus the γ of the steps t_{c-1} .. t_c - 1, whose classes
-   are below c, summed in one pass over those steps; one ``accumulate``
-   over cls then gives e.
+4. each vector is lifted in O(n), on its first read, so that a caller
+   that reads only the first pays for one: γ(c) = δ(c) - e(t_c), where
+   e(t_c) is e(t_{c-1}) plus the γ of the steps t_{c-1} .. t_c - 1, whose
+   classes are below c, summed in one pass over those steps; one
+   ``accumulate`` over cls then gives e.
 
 A class first met at step n - 1 has t_c + 1 = n, where periodicity makes δ
 vanish.  All of it runs in the integer kernel of :mod:`groupcut.rational`;
@@ -111,11 +112,12 @@ only the basis entries, the lifted vectors over d, are Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import add, sub
 from sys import byteorder
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .complex2d import _merge_intervals
 from .rational import integer_nullspace, integer_rref
@@ -272,13 +274,37 @@ def _difference_classes(n: int, runs: Sequence[Run]) -> List[int]:
     return list(map(number.__getitem__, parent))
 
 
-def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[Fraction]]:
+class LiftedBasis(_Sequence):
+    """The basis over δ, each vector lifted to its n grid values on first
+    read and kept: a caller that reads one vector pays one O(n) lift, not
+    one per vector.  It compares equal to the list of its lifted vectors."""
+
+    __slots__ = ("_lift", "_vectors", "_lifted")
+
+    def __init__(self, lift: Callable[[List[int]], List[Fraction]], vectors: List[List[int]]) -> None:
+        self._lift, self._vectors, self._lifted = lift, vectors, {}
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __getitem__(self, i: int) -> List[Fraction]:
+        i = range(len(self._vectors))[i]
+        lifted = self._lifted.get(i)
+        if lifted is None:
+            lifted = self._lifted[i] = self._lift(self._vectors[i])
+        return lifted
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
+def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> LiftedBasis:
     """Basis of grid vectors e (length n) solving the additive system.
 
     All pair coordinates are grid indices in [0, n]; sums may reach 2n and
     are *not* reduced modulo n here — the periodicity row makes the wrapped
     and unwrapped forms of each equation equivalent.  The basis is returned
-    in reduced row echelon form.
+    in reduced row echelon form, each vector lifted when it is first read.
     """
     runs = list(runs)
     # The anchor (u, v) of every run, as the lists us and vs.
@@ -342,8 +368,8 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[F
 
     # e(t_c) sums γ over the steps before t_c, whose classes are below c.
     between = [cls[a:b] for a, b in zip(starts, starts[1:])]
-    basis: List[List[Fraction]] = []
-    for v in reversed(vectors):
+
+    def lift(v: List[int]) -> List[Fraction]:
         delta = v[::-1]
         gamma = [delta[0]]
         get, push = gamma.__getitem__, gamma.append
@@ -355,5 +381,6 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> List[List[F
         assert e.pop() == 0
         # A basis vector takes few distinct values; build each Fraction once.
         value = {y: Fraction(y, d) for y in set(e)}
-        basis.append(list(map(value.__getitem__, e)))
-    return basis
+        return list(map(value.__getitem__, e))
+
+    return LiftedBasis(lift, vectors[::-1])

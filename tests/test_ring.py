@@ -1,10 +1,11 @@
-"""The closed-form face ring against the Fraction clipping reference.
+"""The walk oracle's face ring against the Fraction clipping reference.
 
 For every triple (I, J, K) of the complex, empty ones included, ``_ring``
-scaled back by 1/q must equal the reference's Sutherland–Hodgman polygon
-``_face_polygon``, point for point and in order, and its length must give
-the reference's dimension and its sorted points the vertex tuple.  Checked
-on the fixtures and on derandomized draws with and without jumps.
+of ``faces_walk_reference`` scaled back by 1/q must equal the reference's
+Sutherland–Hodgman polygon ``_face_polygon``, point for point and in
+order, and its length must give the reference's dimension and its sorted
+points the vertex tuple.  Checked on the fixtures and on derandomized draws
+with and without jumps.
 """
 
 from fractions import Fraction
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import complex2d_reference as ref
 from groupcut import affine_combine, gmic, with_f_breakpoint
-from groupcut.complex2d import _interval_faces, _ring, _scaled_breakpoints, _sum_ends, _sum_faces
+from faces_walk_reference import _ring
+from groupcut.complex2d import _interval_faces, _scaled_breakpoints, _sum_ends, _sum_faces
 from jump_strategies import jump_functions
 from test_complex2d_reference import FIXTURES, jump_function, stages
 
