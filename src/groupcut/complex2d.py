@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -418,10 +418,10 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
     return [lim[x][1] + lim[y][1] - lim[(x + y) % n][1] for x, y in verts], d
 
 
-def _face_limits(lim: Dict[int, Triple], n: int, face: DeltaFace, points=None) -> List[int]:
-    """d·the limit of Δπ from the relative interior of the face at each
-    scaled point, by default at each of its sorted vertices, all scaled by
-    n; ``lim`` and d are those of ``_scaled_pi`` at scale n.
+def _face_limits(lim: Dict[int, Triple], n: int, sv: Sequence[IntPoint], points=None) -> List[int]:
+    """d·the limit of Δπ from the relative interior of a face at each
+    scaled point, by default at each of its sorted vertices sv, all scaled
+    by n; ``lim`` and d are those of ``_scaled_pi`` at scale n.
 
     Each of x, y and x + y reads the right limit at the low end of its
     projection, the left limit at the high end, and the value elsewhere or
@@ -429,7 +429,6 @@ def _face_limits(lim: Dict[int, Triple], n: int, face: DeltaFace, points=None) -
     its triple.  Inside a projection of F(I, J, K) a coordinate lies inside
     the interval I, J or K, off every breakpoint, where π is continuous.
     """
-    sv = _vertices_at(face, n)
     x0, x1, y0, y1, z0, z1 = _projections(sv)
     return [
         lim[x % n][1 + (x == x0) - (x == x1)]
@@ -464,27 +463,28 @@ def delta_pi_limit(fn: PwlPeriodic, face: DeltaFace, point: Point) -> Fraction:
     n = lcm(fn.denominator_lcm(), face._u.q, x.denominator, y.denominator)
     pt = (_scale(x, n), _scale(y, n))
     lim, d = _scaled_pi(fn, n, [(pt[0] % n, pt[1] % n)])
-    return Fraction(_face_limits(lim, n, face, [pt])[0], d)
+    return Fraction(_face_limits(lim, n, _vertices_at(face, n), [pt])[0], d)
 
 
 def _additive_scaled(
     fn: PwlPeriodic, faces: Sequence[DeltaFace]
 ) -> Tuple[int, List[DeltaFace], List[_Projections]]:
     """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
-    their ``_projections`` scaled by q, read from each face's integers."""
+    their ``_projections`` scaled by q, from each face's integers read once."""
     q = fn.denominator_lcm()
     _, verts = scaled_vertices(fn)
+    scaled = [_vertices_at(face, q) for face in faces]
     if fn.is_continuous():
         slacks, _ = scaled_slacks(fn, q, verts)
         # Δπ is periodic: a vertex on x = q or y = q reads the slack at 0.
         zero = {v for v, s in zip(verts, slacks) if not s}
         zero |= {(q, y) for x, y in zero if not x}
         zero |= {(x, q) for x, y in zero if not y}
-        kept = [face for face in faces if zero.issuperset(_vertices_at(face, q))]
+        keep = list(map(zero.issuperset, scaled))
     else:
         lim, _ = _scaled_pi(fn, q, verts)
-        kept = [face for face in faces if not any(_face_limits(lim, q, face))]
-    return q, kept, [_projections(_vertices_at(face, q)) for face in kept]
+        keep = [not any(_face_limits(lim, q, sv)) for sv in scaled]
+    return q, list(compress(faces, keep)), list(map(_projections, compress(scaled, keep)))
 
 
 def _vertices_at(face: DeltaFace, q: int) -> Tuple[IntPoint, ...]:
@@ -536,10 +536,12 @@ def _on_symmetry_line(face: DeltaFace, f: Fraction) -> bool:
     end vertices, where x + y is least and greatest (see ``_projections``).
     No face meets two such lines: its x + y range is shorter than q, or is
     [kq, kq + q] when 0 is the only breakpoint, and qf is not 0 (mod q)."""
+    (x0, y0), (x1, y1) = face._ints[0][0], face._ints[0][-1]
+    if x0 + y0 != x1 + y1:
+        return False
     q = face._u.q
     t, r = divmod(f.numerator * q, f.denominator)
-    (x0, y0), (x1, y1) = face._ints[0][0], face._ints[0][-1]
-    return not r and x0 + y0 == x1 + y1 and (x0 + y0 - t) % q == 0
+    return not r and (x0 + y0 - t) % q == 0
 
 
 def _merge_intervals(intervals: Iterable[IntInterval]) -> List[List[int]]:

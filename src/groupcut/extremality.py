@@ -122,7 +122,10 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     the least slack / |Δperturbation| over those vertices, where
     Δperturbation ≠ 0.  Raises ValueError if either function has a jump,
     if the perturbation is identically zero, if it is non-additive at a
-    tight pair of fn or additive everywhere, or if fn is not subadditive.
+    tight pair of fn, or if fn is not subadditive.  A perturbation not
+    identically zero has Δ ≠ 0 at some vertex: else Δ would vanish on each
+    face, where it is affine, and it would be continuous and additive on
+    R/Z, hence 0.
     """
     if not (fn.is_continuous() and perturbation.is_continuous()):
         raise ValueError("epsilon ratio test supports continuous functions only")
@@ -146,8 +149,6 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
             best_s, best_d = slack, d
     if not subadditive:
         raise ValueError("epsilon ratio test requires a subadditive function")
-    if not best_d:
-        raise ValueError("perturbation has no non-additive pair; ratio is unbounded")
     # The ratio at a vertex is (slack/dv) / (|Δb|/db).
     return Fraction(best_s * db, dv * best_d)
 

@@ -58,14 +58,29 @@ class FiniteGroupFn:
         return tuple(iv), d
 
 
-def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroupFn:
-    """Sample fn on (1/(mq))Z for integers q, m >= 1; f must lie on it, and
-    mq be at most MAX_GRID_N."""
+# The finite tests read all q² pairs of the group: a larger q is refused first.
+MAX_FINITE_Q = 3_000
+
+
+def _check_order(q: int) -> None:
+    """Raise ValueError, naming the bound, if q exceeds ``MAX_FINITE_Q``."""
+    if q > MAX_FINITE_Q:
+        raise ValueError(f"group order {q} exceeds the bound of {MAX_FINITE_Q} for the finite scans")
+
+
+def _grid_n(q: int, m: int) -> int:
+    """n = mq for integers q, m >= 1, at most MAX_GRID_N."""
     for name, k in (("q", q), ("m", m)):
         if type(k) is not int or k < 1:
             raise ValueError(f"{name} must be a positive integer, got {k!r}")
-    n = m * q
-    check_grid_size(n)
+    check_grid_size(m * q)
+    return m * q
+
+
+def restrict_to_finite_group(fn: PwlPeriodic, q: int, m: int = 1) -> FiniteGroupFn:
+    """Sample fn on (1/(mq))Z for integers q, m >= 1; f must lie on it, and
+    mq be at most MAX_GRID_N."""
+    n = _grid_n(q, m)
     f_index = fn.f * n
     if f_index.denominator != 1:
         raise ValueError(f"f={fn.f} does not lie on the (1/{n})Z grid")
@@ -159,8 +174,9 @@ def min_slack_ratio(iv: Sequence[int], ib: Sequence[int]) -> Optional[Tuple[int,
 
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
     """Minimality over the finite group, same witness conventions as the
-    infinite test (locations reported as grid fractions)."""
+    infinite test (locations reported as grid fractions); q <= MAX_FINITE_Q."""
     q = g.q
+    _check_order(q)
     iv, denom = g._integers
     one = denom
     if iv[0] != 0:
@@ -232,6 +248,7 @@ def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
     """Basis of grid perturbations additive on every tight pair of g."""
     from .solver import perturbation_space  # so that a restriction alone never loads the solver
 
+    _check_order(g.q)
     runs = _additive_runs(g._integers[0])
     return list(perturbation_space(g.q, g.f_index, runs))
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .complex2d import (
+    DeltaFace,
+    IntPoint,
     _face_limits,
     _on_symmetry_line,
     _scaled_pi,
+    _vertices_at,
     delta_pi,
     enumerate_faces,
     scaled_vertices,
@@ -56,12 +59,48 @@ def with_f_breakpoint(fn: PwlPeriodic) -> PwlPeriodic:
     return PwlPeriodic(fn.f, bkpts, [fn.limits_at(x) for x in bkpts])
 
 
+def _failures(
+    fn: PwlPeriodic, faces: Optional[Sequence[DeltaFace]] = None
+) -> Iterator[Tuple[str, IntPoint, Fraction, Optional[DeltaFace]]]:
+    """Where Δπ breaks symmetry or subadditivity, lazily, in the order
+    ``minimality_test`` reports it: (kind, vertex scaled by q, Δπ or its
+    limit there, the limit's face or None), for fn canonical with f a
+    breakpoint.  First the vertices on x + y ≡ f with Δπ ≠ 0; then, for a
+    continuous π, those with Δπ < 0; with jumps, the nonzero limits along
+    the 1-D faces of the symmetry line, then the negative limits along
+    every face (at a 0-D face, Δπ), of ``faces`` = ``enumerate_faces(fn)``,
+    enumerated here if not given.
+    """
+    q, verts = scaled_vertices(fn)
+    lim, d = _scaled_pi(fn, q, verts)
+    slacks = [lim[x][1] + lim[y][1] - lim[(x + y) % q][1] for x, y in verts]
+    f = int(fn.f * q)
+    for (x, y), slack in zip(verts, slacks):
+        if slack and (x + y - f) % q == 0:
+            yield SYMMETRY, (x, y), Fraction(slack, d), None
+    if fn.is_continuous():
+        for v, slack in zip(verts, slacks):
+            if slack < 0:
+                yield SUBADDITIVITY, v, Fraction(slack, d), None
+        return
+    faces = enumerate_faces(fn) if faces is None else faces
+    for symmetry, kind in ((True, SYMMETRY), (False, SUBADDITIVITY)):
+        for face in faces:
+            if symmetry and not (face.dim == 1 and _on_symmetry_line(face, fn.f)):
+                continue
+            sv = _vertices_at(face, q)
+            for v, slack in zip(sv, _face_limits(lim, q, sv)):
+                if slack < 0 or symmetry and slack:
+                    yield kind, v, Fraction(slack, d), face
+
+
 def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     """Decide minimality; on failure return the first witness found.
 
     Witness kinds are scanned in the fixed priority order originValue,
     negativity, symmetry, subadditivity; within each kind, locations are
-    scanned in ascending order, so the verdict is deterministic.
+    scanned in ascending order, so the verdict is deterministic.  The
+    symmetry and subadditivity witnesses come from the scan ``_failures``.
     """
     fn = with_f_breakpoint(fn.canonicalize())
 
@@ -76,40 +115,10 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     if fn(fn.f) != 1:
         return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, fn(fn.f)))
 
-    # Δπ and its limits at the vertices as integers over d; Fractions only
-    # for a witness.
-    q, verts = scaled_vertices(fn)
-    lim, d = _scaled_pi(fn, q, verts)
-    slacks = [lim[x][1] + lim[y][1] - lim[(x + y) % q][1] for x, y in verts]
-    f = int(fn.f * q)
-
-    def witness(kind: str, location, slack: int, face=None) -> MinimalityVerdict:
+    for kind, (x, y), value, face in _failures(fn):
+        q = fn.denominator_lcm()
         face_vertices = None if face is None else face.vertices
-        return MinimalityVerdict(False, MinimalityWitness(kind, location, Fraction(slack, d), face_vertices))
-
-    # Symmetry: Δπ must vanish on the line x + y = f (mod 1).
-    for (x, y), slack in zip(verts, slacks):
-        if slack and (x + y - f) % q == 0:
-            return witness(SYMMETRY, (Fraction(x, q), Fraction(y, q)), slack)
-    # Subadditivity: Δπ >= 0 at every vertex.
-    if fn.is_continuous():
-        for (x, y), slack in zip(verts, slacks):
-            if slack < 0:
-                return witness(SUBADDITIVITY, (Fraction(x, q), Fraction(y, q)), slack)
-        return MinimalityVerdict(True)
-
-    # With jumps, the same for the one-sided limits along the faces: on the
-    # 1-D faces of the symmetry line, and along every face.
-    faces = enumerate_faces(fn)
-    for face in faces:
-        if face.dim == 1 and _on_symmetry_line(face, fn.f):
-            for i, slack in enumerate(_face_limits(lim, q, face)):
-                if slack:
-                    return witness(SYMMETRY, face.vertices[i], slack, face)
-    for face in faces:
-        for i, slack in enumerate(_face_limits(lim, q, face)):
-            if slack < 0:
-                return witness(SUBADDITIVITY, face.vertices[i], slack, face)
+        return MinimalityVerdict(False, MinimalityWitness(kind, (Fraction(x, q), Fraction(y, q)), value, face_vertices))
     return MinimalityVerdict(True)
 
 
@@ -175,9 +184,13 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
 
     Only function *values* on the grid are inspected.  For continuous
     functions with denominator q this is equivalent to the vertex test; it
-    exists as an independent cross-check.  Raises ValueError if refine < 1.
+    exists as an independent cross-check.  Raises ValueError, before it
+    samples, for refine not an int >= 1, or refine·q above MAX_GRID_N or
+    MAX_FINITE_Q.
     """
     # Imported here because finite imports this module.
-    from .finite import finite_minimality_test, restrict_to_finite_group
+    from .finite import _check_order, _grid_n, finite_minimality_test, restrict_to_finite_group
 
-    return finite_minimality_test(restrict_to_finite_group(fn, fn.canonicalize().denominator_lcm(), refine))
+    q = fn.canonicalize().denominator_lcm()
+    _check_order(_grid_n(q, refine))
+    return finite_minimality_test(restrict_to_finite_group(fn, q, refine))

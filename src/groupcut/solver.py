@@ -130,11 +130,12 @@ Run = Tuple[str, int, int, int]
 
 def _pieces(n: int, a: int, last: int) -> List[Tuple[int, int]]:
     """The links a+1 .. a+last (mod n) of the steps a .. a+last, as ranges
-    [x, y) inside [0, n); link t joins step t - 1 (mod n) to step t."""
+    [x, y) inside [0, n); link t joins step t - 1 (mod n) to step t.  last
+    is never 0: ``_stretches`` passes b - a with a < b, and
+    ``_difference_classes`` passes it only where exactly one side of a
+    relation lies in one class of (1), while with last = 0 both do."""
     if last >= n:
         return [(0, n)]
-    if not last:
-        return []
     x = (a + 1) % n
     y = x + last
     return [(x, y)] if y <= n else [(x, n), (0, y - n)]

@@ -1,5 +1,5 @@
-"""Deterministic SVG renderings of functions and their two-dimensional
-additivity diagrams.
+"""Deterministic SVG renderings of functions and their additivity diagrams,
+whose red dots are the minimality scan's subadditivity failures.
 
 Rational coordinates are truncated (not rounded) to six decimals straight
 from integer arithmetic, so the same input always yields byte-identical
@@ -11,16 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .complex2d import (
-    _face_limits,
-    _scaled_pi,
-    classify_additive,
-    enumerate_faces,
-    face_ring,
-    scaled_slacks,
-    scaled_vertices,
-)
-from .minimality import with_f_breakpoint
+from .complex2d import classify_additive, enumerate_faces, face_ring
+from .minimality import SUBADDITIVITY, _failures, with_f_breakpoint
 from .pwl import PwlPeriodic
 
 _SCALE = 10**6
@@ -128,10 +120,10 @@ def plot_2d_diagram(fn: PwlPeriodic) -> str:
     """Additivity diagram on the unit square, 720 pixels a side.
 
     Additive faces are green (two-dimensional filled, lower-dimensional
-    drawn as lines/dots), the symmetry line is heavy, subadditivity
-    violations are red dots, projections of two-dimensional additive faces
-    are gray shadows on the borders, and the function graph runs along the
-    top and left margins.
+    drawn as lines/dots), the symmetry line is heavy, the subadditivity
+    failures of the minimality scan (``_failures``) are red dots mod 1,
+    projections of 2-D additive faces are gray shadows on the borders, and
+    the function graph runs along the top and left margins.
     """
     fn = with_f_breakpoint(fn.canonicalize())
     size, margin = 720, 90
@@ -196,21 +188,11 @@ def plot_2d_diagram(fn: PwlPeriodic) -> str:
         if x0 <= x1:
             svg.line(px(x0), py(z - x0), px(x1), py(z - x1), stroke="black", width="3")
 
-    # Red dots at subadditivity violations.
-    q, verts = scaled_vertices(fn)
-    if fn.is_continuous():
-        slacks, _ = scaled_slacks(fn, q, verts)
-        violations = {(Fraction(x, q), Fraction(y, q)) for (x, y), s in zip(verts, slacks) if s < 0}
-    else:
-        lim, _ = _scaled_pi(fn, q, verts)
-        violations = {
-            (face.vertices[i][0] % 1, face.vertices[i][1] % 1)
-            for face in faces
-            for i, slack in enumerate(_face_limits(lim, q, face))
-            if slack < 0
-        }
-    for u, v in sorted(violations):
-        svg.circle(px(u), py(v), 5, fill="red")
+    # Red dots at the subadditivity failures of the minimality scan, mod 1.
+    q = fn.denominator_lcm()
+    failures = {(x % q, y % q) for kind, (x, y), _, _ in _failures(fn, faces) if kind == SUBADDITIVITY}
+    for x, y in sorted(failures):
+        svg.circle(px(Fraction(x, q)), py(Fraction(y, q)), 5, fill="red")
 
     # Function graphs along the top and left margins.
     segs, _ = _graph_segments(fn)

@@ -140,6 +140,16 @@ class TestTestCommands:
         code, out, err = run(capsys, "test", "extremality", str(path))
         assert code == 1
 
+    def test_extremality_rejects_continuous_non_minimal(self, capsys, tmp_path):
+        # 2·gmic − psi_1, the dent of the packaging smoke test.
+        g, p1 = construct("gmic", f=F(4, 5)), construct("psi_n", f=F(4, 5), n=1)
+        path = tmp_path / "dent.json"
+        path.write_text(serialize.dumps(serialize.serialize_pwl(construct("affine_combine", a=2, fn1=g, b=-1, fn2=p1))))
+        code, out, err = run(capsys, "test", "extremality", str(path))
+        assert code == 1
+        assert out == ""
+        assert "requires a minimal function" in err
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "test", "minimality", "/no/such/file.json")
         assert code == 1
@@ -293,6 +303,13 @@ class TestThreadsEnv:
         code, out, err = run(capsys, "list")
         assert code == 1
         assert "GROUPCUT_THREADS" in err
+
+    def test_zero(self, capsys, monkeypatch):
+        monkeypatch.setenv("GROUPCUT_THREADS", "0")
+        code, out, err = run(capsys, "list")
+        assert code == 1
+        assert out == ""
+        assert "GROUPCUT_THREADS must be a positive integer, got '0'" in err
 
     def test_valid_value(self, capsys, monkeypatch):
         monkeypatch.setenv("GROUPCUT_THREADS", "4")

@@ -9,6 +9,7 @@ from groupcut import (
     generate_eps,
     gmic,
     list_registry,
+    make_pwl,
     minimality_test,
     multiplicative_homomorphism,
     negation,
@@ -70,6 +71,14 @@ class TestPsiParams:
         # Total negative-slope mass exceeding 1 is rejected.
         with pytest.raises(ValueError):
             PsiParams(F(1, 5), (F(2, 5), F(39, 100)))
+        with pytest.raises(ValueError, match="f must lie strictly between 0 and 1, got 1"):
+            PsiParams(F(1), (F(1, 8),))
+
+    def test_amplitude_too_large_for_a_segment(self):
+        # eps_1 = f passes the mass check, (1 - f) + eps_1 = 1, but fills the
+        # whole positive-slope segment [0, f].
+        with pytest.raises(ValueError, match="amplitude too large for a positive-slope segment"):
+            psi_stages(PsiParams(F(1, 5), (F(1, 5),)))
 
     def test_accepts_standard(self):
         PsiParams(F(4, 5), tuple(generate_eps(F(4, 5), 4)))
@@ -147,6 +156,12 @@ class TestProjectedSequentialMerge:
         with pytest.raises(ValueError):
             projected_sequential_merge(gmic45, 2)
 
+    def test_discontinuous_refused(self):
+        # π(x) = x on [0, 1) jumps at 0; f = 1/5 passes the check n·f < 1.
+        jump = make_pwl(F(1, 5), [0], [(F(1), 0, 0)])
+        with pytest.raises(ValueError, match="requires a continuous function"):
+            projected_sequential_merge(jump, 2)
+
 
 class TestTwoSlopeFillIn:
     def test_reproduces_gmic(self, gmic45):
@@ -183,6 +198,9 @@ class TestRegistry:
 
     def test_construct_gmic(self, gmic45):
         assert construct("gmic", f=F(4, 5)) == gmic45
+
+    def test_construct_affine_combine(self, gmic45, psi45_stages, combo):
+        assert construct("affine_combine", a=F(1, 2), fn1=gmic45, b=F(1, 2), fn2=psi45_stages[1]) == combo
 
     def test_construct_psi(self, psi45_stages):
         assert construct("psi_n", f=F(4, 5), n=2) == psi45_stages[2]

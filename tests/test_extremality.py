@@ -59,6 +59,12 @@ class TestNonExtreme:
         with pytest.raises(ValueError):
             extremality_test(fn)
 
+    def test_requires_minimal_continuous(self, gmic45, psi45_stages):
+        # 2·gmic − psi_1 is continuous and not minimal (it is negative at 3/10).
+        dent = affine_combine(2, gmic45, -1, psi45_stages[1])
+        with pytest.raises(ValueError, match="requires a minimal function"):
+            extremality_test(dent)
+
     def test_rejects_discontinuous(self):
         fn = make_pwl(F(1, 2), [0, F(1, 2)], [(1, 0, 0), (1, 1, 0)])
         with pytest.raises(ValueError, match="continuous"):

@@ -109,3 +109,21 @@ def test_projections_once_per_additive_face(psi45_stages, monkeypatch):
     monkeypatch.setattr(extremality, "minimality_test", lambda fn: MinimalityVerdict(True))
     report = extremality._additive_system(fn, 3)[3]
     assert len(calls) == len(report.additive_faces)
+
+
+def test_vertices_scaled_once_per_face(psi45_stages, monkeypatch):
+    """``classify_additive`` reads each face's scaled vertices once, for the
+    additivity test and the projections of the faces it keeps alike."""
+    fn = psi45_stages[3]
+    calls = []
+    real = complex2d._vertices_at
+
+    def counted(face, q):
+        calls.append(face)
+        return real(face, q)
+
+    monkeypatch.setattr(complex2d, "_vertices_at", counted)
+    report = additivity_report(fn)
+    faces = enumerate_faces(fn)
+    assert len(calls) == len(faces) == 2457
+    assert len(report.additive_faces) < len(faces)

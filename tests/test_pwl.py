@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_pwl(F(1, 2), [0], [(0, 0, 0), (1, 1, 1)])
 
+    def test_repr_and_foreign_equality(self, gmic45):
+        assert repr(gmic45) == (
+            "PwlPeriodic(f=4/5, breakpoints=[Fraction(0, 1), Fraction(4, 5)], "
+            "limits=[(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))])"
+        )
+        assert gmic45.__eq__("gmic") is NotImplemented
+        assert gmic45 != "gmic"
+
     def test_denominator_lcm(self):
         assert gmic(F(4, 5)).denominator_lcm() == 5
         assert make_pwl(F(1, 2), [0, F(1, 3)], [(0, 0, 0), (1, 1, 1)]).denominator_lcm() == 6
@@ -146,6 +155,10 @@ class TestComposePwl:
     def test_bad_inner(self, gmic45):
         with pytest.raises(ValueError):
             compose_pwl(gmic45, [0, F(1, 2)], [0, 1])
+
+    def test_inner_breakpoints_must_increase(self, gmic45):
+        with pytest.raises(ValueError, match="inner breakpoints must be strictly increasing"):
+            compose_pwl(gmic45, [0, F(1, 2), F(1, 2), 1], [0, 1, 1, 2])
 
     def test_tent_map(self, gmic45):
         # inner rises 0 -> 1 on [0,1/2] then returns to 0: composite is

@@ -61,6 +61,10 @@ class TestRatMatrix:
             RatMatrix([])
         assert RatMatrix([], n_cols=4).n_cols == 4
 
+    def test_n_cols_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="n_cols disagrees with row width"):
+            RatMatrix([[1, 2]], n_cols=3)
+
     def test_size_bound(self):
         with pytest.raises(ValueError):
             RatMatrix([], n_cols=30_000)

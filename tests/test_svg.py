@@ -55,6 +55,14 @@ class TestPlot2dDiagram:
         parse(svg)
         assert '"red"' in svg
 
+    def test_constant_function(self):
+        # π ≡ 1: the margin graphs take the value range [1, 2], so the graph
+        # runs at 10 + (2 - 1)·70 = 80 pixels from the edge.
+        svg = plot_2d_diagram(make_pwl(F(1, 2), [0], [(1, 1, 1)]))
+        parse(svg)
+        assert '<line x1="90.000000" y1="80.000000" x2="360.000000" y2="80.000000" stroke="blue"' in svg
+        assert '<line x1="80.000000" y1="630.000000" x2="80.000000" y2="360.000000" stroke="blue"' in svg
+
     def test_nontrivial_function(self, psm15):
         svg = plot_2d_diagram(psm15)
         parse(svg)

@@ -1,6 +1,6 @@
-"""SVG bytes: red dots read from the integer slacks of
-``complex2d.scaled_slacks`` (from the limits along the faces, with jumps),
-with Fractions built only for the dots, and coordinates formatted in
+"""SVG bytes: red dots read from the subadditivity failures of the
+minimality scan ``minimality._failures`` (Δπ at the vertices, or with jumps
+its limits along the faces, in integers), and coordinates formatted in
 integers give the same documents as before."""
 
 import hashlib

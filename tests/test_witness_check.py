@@ -14,6 +14,7 @@ On derandomized draws of functions with jumps (``jump_strategies``):
   one-sided limits that shares no code with the integer evaluator.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -130,3 +131,11 @@ def test_segment_limit_is_delta_pi_limit(fn):
     for face in enumerate_faces(fn):
         for p in face.vertices:
             assert _segment_limit(fn, face.vertices, p) == delta_pi_limit(fn, face, p), (face, p)
+
+
+def test_unknown_kind_never_verifies():
+    fn = make_pwl(F(1, 2), [0, F(1, 4), F(1, 2)], [(1, 0, 0), (F(5, 8), F(1, 2), F(3, 8)), (1, 1, 0)])
+    witness = minimality_test(fn).witness
+    assert verify_witness(fn, witness)
+    for kind in ("bogus", "Subadditivity"):
+        assert not verify_witness(fn, replace(witness, kind=kind))
