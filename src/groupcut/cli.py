@@ -16,16 +16,13 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-# The largest module first: compiled before dataclasses loads inspect, it lowers peak RSS.
-from . import complex2d  # noqa: F401
-from . import serialize
-from .pwl import PwlPeriodic, affine_combine, precompose_scale
-from .rational import rat_parse
-
 if TYPE_CHECKING:
-    from .finite import FiniteGroupFn
+    from .pwl import PwlPeriodic
 
-# Each command imports the other layers it runs, so a process loads only those.
+# No groupcut layer is imported here: each command imports the layers it runs,
+# so a process compiles only those.  A command that runs face code imports
+# complex2d before any other layer: the largest module, compiled before
+# dataclasses loads inspect, lowers the process's peak RSS.
 
 
 class InputError(Exception):
@@ -44,6 +41,8 @@ def _check_threads_env() -> None:
 
 
 def _read_json(path: str):
+    from . import serialize
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return serialize.loads(handle.read())
@@ -52,11 +51,9 @@ def _read_json(path: str):
 
 
 def _load_pwl(path: str) -> PwlPeriodic:
+    from . import serialize
+
     return serialize.deserialize_pwl(_read_json(path))
-
-
-def _load_finite(path: str) -> FiniteGroupFn:
-    return serialize.deserialize_finite(_read_json(path))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -67,27 +64,38 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _rat(text: str):
+    from .rational import rat_parse
+
+    return rat_parse(text)
+
+
 # construct's options and their parsers.  argparse parses the integers (a malformed
 # one is a usage error, exit 2), ``_cmd_construct`` the rest (malformed, exit 1).
 _CONSTRUCT_OPTIONS = {
-    "f": rat_parse,
+    "f": _rat,
     "n": int,
     "variant": str,
     "q": int,
     "f_index": int,
-    "values": lambda text: [rat_parse(v) for v in text.split(",")],
-    "s_plus": rat_parse,
-    "s_minus": rat_parse,
+    "values": lambda text: [_rat(v) for v in text.split(",")],
+    "s_plus": _rat,
+    "s_minus": _rat,
 }
 
 
 def _cmd_construct(args) -> int:
+    from . import serialize
     from .compendium import REGISTRY, construct
 
-    if args.name not in REGISTRY:
+    entry = REGISTRY.get(args.name)
+    if entry is None:
         raise InputError(f"unknown family {args.name!r}")
-    given = vars(args)
-    params = {k: parse(given[k]) for k, parse in _CONSTRUCT_OPTIONS.items() if given[k] is not None}
+    given = {k: v for k, v in vars(args).items() if k in _CONSTRUCT_OPTIONS and v is not None}
+    for k in given:
+        if k not in entry.parameters:
+            raise InputError(f"family {args.name!r} takes no parameter {k!r}")
+    params = {k: _CONSTRUCT_OPTIONS[k](v) for k, v in given.items()}
     try:
         fn = construct(args.name, **params)
     except KeyError as exc:
@@ -109,6 +117,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_test_minimality(args) -> int:
+    from . import complex2d  # noqa: F401 -- first, for the peak RSS (see the module top)
+    from . import serialize
+    from .pwl import PwlPeriodic
+
     obj = _read_json(args.function)
     fn = serialize.deserialize_function(obj)
     if isinstance(fn, PwlPeriodic):
@@ -124,6 +136,8 @@ def _cmd_test_minimality(args) -> int:
 
 
 def _cmd_test_extremality(args) -> int:
+    from . import complex2d  # noqa: F401 -- first, for the peak RSS (see the module top)
+    from . import serialize
     from .extremality import extremality_test
 
     verdict = extremality_test(_load_pwl(args.function), oversampling=args.oversampling)
@@ -137,6 +151,7 @@ def _cmd_test_extremality(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
+    from . import serialize
     from .finite import restrict_to_finite_group
 
     g = restrict_to_finite_group(_load_pwl(args.function), args.q, m=args.m)
@@ -145,14 +160,18 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    from . import serialize
     from .finite import interpolate_to_infinite_group
 
-    g = _load_finite(args.function)
+    g = serialize.deserialize_finite(_read_json(args.function))
     _emit(serialize.dumps(serialize.serialize_pwl(interpolate_to_infinite_group(g))), args.output)
     return 0
 
 
 def _cmd_apply(args) -> int:
+    from . import serialize
+    from .pwl import affine_combine, precompose_scale
+
     if args.operation == "scale":
         fn = precompose_scale(_load_pwl(args.function), args.lam)
     elif args.operation == "negate":
@@ -161,7 +180,7 @@ def _cmd_apply(args) -> int:
         if args.other is None or args.a is None or args.b is None:
             raise InputError("combine requires --a, --b and --other")
         fn = affine_combine(
-            rat_parse(args.a), _load_pwl(args.function), rat_parse(args.b), _load_pwl(args.other)
+            _rat(args.a), _load_pwl(args.function), _rat(args.b), _load_pwl(args.other)
         )
     else:  # projected_sequential_merge, the last of argparse's choices
         from .compendium import projected_sequential_merge
@@ -172,6 +191,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import complex2d  # noqa: F401 -- first, for the peak RSS: svg runs face code
     from .svg import plot_2d_diagram, plot_function
 
     plot = plot_function if args.kind == "function" else plot_2d_diagram  # argparse's choices

@@ -13,18 +13,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .minimality import (
-    NEGATIVITY,
-    ORIGIN_VALUE,
-    SUBADDITIVITY,
-    SYMMETRY,
-    MinimalityVerdict,
-    MinimalityWitness,
-)
 from .pwl import PwlPeriodic, check_grid_size, grid_values, interpolate_grid
 from .rational import scale_to_integers
+
+if TYPE_CHECKING:
+    from .minimality import MinimalityVerdict
 
 
 @dataclass(frozen=True)
@@ -175,6 +170,16 @@ def min_slack_ratio(iv: Sequence[int], ib: Sequence[int]) -> Optional[Tuple[int,
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
     """Minimality over the finite group, same witness conventions as the
     infinite test (locations reported as grid fractions); q <= MAX_FINITE_Q."""
+    # Imported here so that a restriction or an interpolation never loads the complex.
+    from .minimality import (
+        NEGATIVITY,
+        ORIGIN_VALUE,
+        SUBADDITIVITY,
+        SYMMETRY,
+        MinimalityVerdict,
+        MinimalityWitness,
+    )
+
     q = g.q
     _check_order(q)
     iv, denom = g._integers

@@ -188,7 +188,7 @@ def minimality_grid_oracle(fn: PwlPeriodic, refine: int = 3) -> MinimalityVerdic
     samples, for refine not an int >= 1, or refine·q above MAX_GRID_N or
     MAX_FINITE_Q.
     """
-    # Imported here because finite imports this module.
+    # Imported here so that the minimality test alone never loads finite.
     from .finite import _check_order, _grid_n, finite_minimality_test, restrict_to_finite_group
 
     q = fn.canonicalize().denominator_lcm()

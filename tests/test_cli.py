@@ -47,8 +47,11 @@ class TestConstruct:
             (("nope",), "unknown family 'nope'"),
             (("gmic",), "family 'gmic' needs parameter 'f'"),
             (("negation",), "family 'negation' needs parameter 'fn'"),
+            (("gmic", "--f", "4/5", "--n", "3"), "family 'gmic' takes no parameter 'n'"),
+            (("gj_2_slope", "--f", "1/2", "--f-index", "1"),
+             "family 'gj_2_slope' takes no parameter 'f_index'"),
         ],
-        ids=["unknown", "missing-f", "missing-fn"],
+        ids=["unknown", "missing-f", "missing-fn", "extra-n", "stub-extra-f_index"],
     )
     def test_error_names_the_family_and_parameter(self, capsys, argv, message):
         assert run(capsys, "construct", *argv) == (1, "", f"error: {message}\n")

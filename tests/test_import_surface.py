@@ -45,15 +45,33 @@ PUBLIC = {
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
-# Runs the CLI as ``python -m groupcut.cli`` does, then writes the names of
-# the loaded groupcut submodules to stderr as one JSON line.
+# Runs the CLI as ``python -m groupcut.cli`` does, then writes to stderr, as
+# one JSON line, the modules in sys.modules that were not there at interpreter
+# start, in the order their imports began.  (sys.modules itself holds a module
+# from when its import ends, so a module comes after everything it imports.)
+# A finder first on sys.meta_path sees each import begin, before the module's
+# source compiles.
 CLI_PROBE = """\
-import json, runpy, sys
+import sys
+at_start = set(sys.modules)
+began = []
+
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        began.append(name)
+
+sys.meta_path.insert(0, Recorder)
+import json, runpy
 try:
     runpy.run_module("groupcut.cli", run_name="__main__", alter_sys=True)
 finally:
-    sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.startswith("groupcut."))))
+    loaded = [m for m in dict.fromkeys(began) if m in sys.modules and m not in at_start]
+    sys.stderr.write(json.dumps(loaded))
 """
+
+# The package and the CLI itself; every other groupcut module is a layer.
+CLI_ITSELF = ("groupcut", "groupcut.cli")
 
 
 def run_python(*argv, cwd=None):
@@ -63,10 +81,34 @@ def run_python(*argv, cwd=None):
                           cwd=cwd, timeout=120)
 
 
-def loaded_by_cli(*argv, cwd=None):
+def modules_loaded_by_cli(*argv, cwd=None):
+    """The command's stdout, and the modules it loaded after interpreter start in load order."""
     proc = run_python("-c", CLI_PROBE, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout, set(json.loads(proc.stderr.splitlines()[-1]))
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def loaded_by_cli(*argv, cwd=None):
+    """The command's stdout, and the set of groupcut submodules it loaded."""
+    stdout, modules = modules_loaded_by_cli(*argv, cwd=cwd)
+    return stdout, {m for m in modules if m.startswith("groupcut.")}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """gmic(4/5), its restriction to q = 5 and the gmic/psi_1 midpoint, as paths."""
+    tmp = tmp_path_factory.mktemp("cli")
+    paths = {name: str(tmp / f"{name}.json") for name in ("gmic", "psi1", "finite", "mid")}
+    for argv in (
+        ("construct", "gmic", "--f", "4/5", "-o", paths["gmic"]),
+        ("construct", "psi_n", "--f", "4/5", "--n", "1", "-o", paths["psi1"]),
+        ("restrict", paths["gmic"], "--q", "5", "-o", paths["finite"]),
+        ("apply", "combine", paths["gmic"], "--a", "1/2", "--b", "1/2", "--other", paths["psi1"],
+         "-o", paths["mid"]),
+    ):
+        proc = run_python("-m", "groupcut.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+    return paths
 
 
 class TestImportSurface:
@@ -86,6 +128,39 @@ class TestImportSurface:
         assert stdout
         unwanted = {f"groupcut.{m}" for m in ("solver", "extremality", "finite", "svg")}
         assert not loaded & unwanted
+
+    @pytest.mark.parametrize(
+        "argv, unwanted",
+        [
+            (("list",), ("serialize", "complex2d", "minimality")),
+            (("construct", "gmic", "--f", "4/5"), ("complex2d", "minimality")),
+            (("apply", "combine", "{gmic}", "--a", "1/2", "--b", "1/2", "--other", "{psi1}"),
+             ("complex2d", "minimality")),
+            (("restrict", "{mid}", "--q", "10", "--m", "3"), ("minimality", "complex2d")),
+            (("interpolate", "{finite}"), ("minimality", "complex2d")),
+        ],
+        ids=["list", "construct", "apply-combine", "restrict", "interpolate"],
+    )
+    def test_commands_without_face_code_never_compile_the_complex(self, files, argv, unwanted):
+        stdout, loaded = loaded_by_cli(*(a.format(**files) for a in argv))
+        assert stdout
+        assert not loaded & {f"groupcut.{m}" for m in unwanted}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("test", "minimality", "{mid}"), ("test", "extremality", "{mid}"),
+         ("plot", "diagram", "{mid}")],
+        ids=["test-minimality", "test-extremality", "plot-diagram"],
+    )
+    def test_face_commands_compile_the_complex_first(self, files, argv):
+        # The largest module, compiled before any other layer and before
+        # dataclasses loads inspect, holds the process's peak RSS down.
+        stdout, modules = modules_loaded_by_cli(*(a.format(**files) for a in argv))
+        assert stdout
+        layers = [m for m in modules if m.startswith("groupcut.") and m not in CLI_ITSELF]
+        assert layers[0] == "groupcut.complex2d"
+        if "dataclasses" in modules:  # else the interpreter loaded it at start
+            assert modules.index("groupcut.complex2d") < modules.index("dataclasses")
 
     def test_minimality_of_a_function_skips_the_other_tests(self, tmp_path):
         path = tmp_path / "gmic.json"
