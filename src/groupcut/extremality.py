@@ -26,6 +26,7 @@ from .complex2d import (
 from .minimality import minimality_test, with_f_breakpoint
 from .pwl import MAX_GRID_N  # noqa: F401 -- re-exported as extremality.MAX_GRID_N
 from .pwl import PwlPeriodic, affine_combine, check_grid_size, interpolate_grid
+from .rational import least_ratio
 from .solver import Run, perturbation_space
 
 
@@ -135,19 +136,9 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     verts = [(x, y) for x, y in verts if x <= y]
     slacks, dv = scaled_slacks(fn, n, verts)
     deltas, db = scaled_slacks(perturbation, n, verts)
-    best_s = best_d = 0
-    subadditive = True
-    for slack, d in zip(slacks, deltas):
-        if not d:
-            subadditive = subadditive and slack >= 0
-            continue
-        if slack <= 0:
-            raise ValueError("perturbation is non-additive at a tight pair of the function")
-        if d < 0:
-            d = -d
-        if not best_d or slack * best_d < best_s * d:
-            best_s, best_d = slack, d
-    if not subadditive:
+    best_s, best_d = least_ratio(zip(slacks, deltas))
+    # least_ratio refused every slack <= 0 where Δb ≠ 0.
+    if min(slacks) < 0:
         raise ValueError("epsilon ratio test requires a subadditive function")
     # The ratio at a vertex is (slack/dv) / (|Δb|/db).
     return Fraction(best_s * db, dv * best_d)

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .pwl import PwlPeriodic, check_grid_size, grid_values, interpolate_grid
-from .rational import scale_to_integers
+from .rational import least_ratio, scale_to_integers
 
 if TYPE_CHECKING:
     from .minimality import MinimalityVerdict
@@ -121,50 +121,54 @@ def _slack_rows(iv: Sequence[int]) -> Tuple[int, Callable[[int, int], Tuple[int,
     return nbytes, row
 
 
+def _flagged_row(vectors: Sequence[Sequence[int]], start: int) -> Optional[int]:
+    """The first row i >= start where the Δ of one of the vectors, all of
+    one length n, is negative at a pair (i, j), i <= j; None if there is
+    none.  Row i of ``_slack_rows`` from j0 = i has a clear top bit exactly
+    in those lanes.  Nothing is packed when start >= n.
+    """
+    n = len(vectors[0])
+    rows = [_slack_rows(v)[1] for v in vectors] if start < n else []
+    for i in range(start, n):
+        for row in rows:
+            lanes, high = row(i, i)
+            if lanes & high != high:
+                return i
+    return None
+
+
 def first_subadditivity_violation(iv: Sequence[int]) -> Optional[Tuple[int, int]]:
     """The first pair (i, j), i <= j, in ascending order of i and then j,
-    with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.  Row i of
-    ``_slack_rows`` from j0 = i has a clear top bit exactly in the lanes of
-    violations; only the first row with one is scanned pair by pair.  iv
-    must be non-empty, as ``_slack_rows`` needs: every caller passes the
-    q >= 2 values of a ``FiniteGroupFn``.
+    with iv[i] + iv[j] < iv[(i + j) mod n]; None if there is none.  Only
+    the first ``_flagged_row`` is scanned pair by pair.
     """
-    n = len(iv)
-    _, row = _slack_rows(iv)
-    for i in range(n):
-        lanes, high = row(i, i)
-        if lanes & high != high:
-            vi = iv[i]
-            return i, next(j for j in range(i, n) if vi + iv[j] < iv[(i + j) % n])
-    return None
+    i = _flagged_row([iv], 0)
+    if i is None:
+        return None
+    n, vi = len(iv), iv[i]
+    return i, next(j for j in range(i, n) if vi + iv[j] < iv[(i + j) % n])
 
 
 def min_slack_ratio(iv: Sequence[int], ib: Sequence[int]) -> Optional[Tuple[int, int]]:
     """The first pair (slack, |Δb|), in the order of the subadditivity scan,
     with the least slack / |Δb| over i <= j where Δb, the Δ of ib at (i, j),
     is nonzero and slack is the Δ of iv there; None if there is none.
-    Compared by cross products.  Raises ValueError where Δb ≠ 0 and
-    slack <= 0, since no ε > 0 keeps that pair subadditive.
+    Raises ValueError where Δb ≠ 0 and slack <= 0 (``least_ratio``).
+
+    With s/d the least ratio so far (1/0 before any), a pair lowers it or
+    is refused exactly where d·slack ∓ s·Δb < 0 for one sign, that is where
+    the Δ of d·iv ∓ s·ib is negative.  So only the rows that
+    ``_flagged_row`` finds go through ``least_ratio``, each whole and in
+    order; a row left out holds no pair below s/d, so a tie keeps the
+    first least pair.
     """
     n = len(iv)
-    iv2, ib2 = list(iv) * 2, list(ib) * 2
-    best_s = best_d = 0
-    for i in range(n):
+    s, d, i = 1, 0, -1
+    while (i := _flagged_row([[d * v + t * b for v, b in zip(iv, ib)] for t in (-s, s)], i + 1)) is not None:
         vi, bi = iv[i], ib[i]
-        start = 2 * i % n
-        stop = start + n - i
-        for vj, vk, bj, bk in zip(iv[i:], iv2[start:stop], ib[i:], ib2[start:stop]):
-            d = bi + bj - bk
-            if not d:
-                continue
-            slack = vi + vj - vk
-            if slack <= 0:
-                raise ValueError("perturbation is non-additive at a tight pair of the function")
-            if d < 0:
-                d = -d
-            if not best_d or slack * best_d < best_s * d:
-                best_s, best_d = slack, d
-    return (best_s, best_d) if best_d else None
+        pairs = ((vi + iv[j] - iv[(i + j) % n], bi + ib[j] - ib[(i + j) % n]) for j in range(i, n))
+        s, d = least_ratio(pairs, s, d)
+    return (s, d) if d else None
 
 
 def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
@@ -286,10 +290,7 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
     g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))
     if not (finite_minimality_test(g_plus).minimal and finite_minimality_test(g_minus).minimal):
         raise RuntimeError("could not validate a finite perturbation certificate")
-    cert = FiniteCertificate(_pert_fn(g, bar), eps, g_plus, g_minus)
+    # The perturbation reuses f_index for bookkeeping only.
+    cert = FiniteCertificate(FiniteGroupFn(q, g.f_index, tuple(bar)), eps, g_plus, g_minus)
     return FiniteExtremalityVerdict(extreme=False, basis_dimension=len(basis), certificate=cert)
 
-
-def _pert_fn(g: FiniteGroupFn, bar: List[Fraction]) -> FiniteGroupFn:
-    """Wrap a raw perturbation vector; f_index reused for bookkeeping only."""
-    return FiniteGroupFn(g.q, g.f_index, tuple(bar))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .complex2d import (
@@ -59,32 +60,37 @@ def with_f_breakpoint(fn: PwlPeriodic) -> PwlPeriodic:
     return PwlPeriodic(fn.f, bkpts, [fn.limits_at(x) for x in bkpts])
 
 
+_Failure = Tuple[str, IntPoint, Fraction, Optional[DeltaFace]]
+
+
 def _failures(
     fn: PwlPeriodic, faces: Optional[Sequence[DeltaFace]] = None
-) -> Iterator[Tuple[str, IntPoint, Fraction, Optional[DeltaFace]]]:
-    """Where Δπ breaks symmetry or subadditivity, lazily, in the order
-    ``minimality_test`` reports it: (kind, vertex scaled by q, Δπ or its
-    limit there, the limit's face or None), for fn canonical with f a
-    breakpoint.  First the vertices on x + y ≡ f with Δπ ≠ 0; then, for a
-    continuous π, those with Δπ < 0; with jumps, the nonzero limits along
-    the 1-D faces of the symmetry line, then the negative limits along
-    every face (at a 0-D face, Δπ), of ``faces`` = ``enumerate_faces(fn)``,
-    enumerated here if not given.
+) -> Tuple[Iterator[_Failure], Iterator[_Failure]]:
+    """Where Δπ breaks symmetry, and where it breaks subadditivity: two lazy
+    passes, each in the order ``minimality_test`` reports it (it chains
+    them), of (kind, vertex scaled by q, Δπ or its limit there, the limit's
+    face or None), for fn canonical with f a breakpoint.  Symmetry: the
+    vertices on x + y ≡ f with Δπ ≠ 0, then, with jumps, the nonzero limits
+    along the 1-D faces of the symmetry line.  Subadditivity: for a
+    continuous π the vertices with Δπ < 0; with jumps, the negative limits
+    along every face (at a 0-D face, Δπ).  The faces are ``faces`` =
+    ``enumerate_faces(fn)``, enumerated by the first pass that needs them
+    if not given.
     """
     q, verts = scaled_vertices(fn)
     lim, d = _scaled_pi(fn, q, verts)
     slacks = [lim[x][1] + lim[y][1] - lim[(x + y) % q][1] for x, y in verts]
     f = int(fn.f * q)
-    for (x, y), slack in zip(verts, slacks):
-        if slack and (x + y - f) % q == 0:
-            yield SYMMETRY, (x, y), Fraction(slack, d), None
+    on_line = (
+        (SYMMETRY, v, Fraction(s, d), None) for v, s in zip(verts, slacks) if s and (v[0] + v[1] - f) % q == 0
+    )
     if fn.is_continuous():
-        for v, slack in zip(verts, slacks):
-            if slack < 0:
-                yield SUBADDITIVITY, v, Fraction(slack, d), None
-        return
-    faces = enumerate_faces(fn) if faces is None else faces
-    for symmetry, kind in ((True, SYMMETRY), (False, SUBADDITIVITY)):
+        return on_line, ((SUBADDITIVITY, v, Fraction(s, d), None) for v, s in zip(verts, slacks) if s < 0)
+
+    def along_faces(symmetry: bool) -> Iterator[_Failure]:
+        nonlocal faces
+        faces = enumerate_faces(fn) if faces is None else faces
+        kind = SYMMETRY if symmetry else SUBADDITIVITY
         for face in faces:
             if symmetry and not (face.dim == 1 and _on_symmetry_line(face, fn.f)):
                 continue
@@ -92,6 +98,8 @@ def _failures(
             for v, slack in zip(sv, _face_limits(lim, q, sv)):
                 if slack < 0 or symmetry and slack:
                     yield kind, v, Fraction(slack, d), face
+
+    return chain(on_line, along_faces(True)), along_faces(False)
 
 
 def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
@@ -115,7 +123,7 @@ def minimality_test(fn: PwlPeriodic) -> MinimalityVerdict:
     if fn(fn.f) != 1:
         return MinimalityVerdict(False, MinimalityWitness(SYMMETRY, fn.f, fn(fn.f)))
 
-    for kind, (x, y), value, face in _failures(fn):
+    for kind, (x, y), value, face in chain(*_failures(fn)):
         q = fn.denominator_lcm()
         face_vertices = None if face is None else face.vertices
         return MinimalityVerdict(False, MinimalityWitness(kind, (Fraction(x, q), Fraction(y, q)), value, face_vertices))

@@ -12,6 +12,11 @@ Math. Comp. 22, 1968).  These row operations keep the row space, and at the
 end each pivot row, divided by its pivot, is a row of a matrix in reduced
 row echelon form; that form of a row space is unique, so the output is the
 one Fraction elimination gives.
+
+``least_ratio`` holds the one rule that picks the ε of a certificate, in
+the infinite and the finite group alike: the first least slack / |Δ| over
+the pairs where Δ ≠ 0, compared by integer cross products, refusing a pair
+where Δ ≠ 0 and slack <= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Rat = Fraction
 
@@ -88,6 +93,26 @@ def scale_to_integers(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(ints, d): d the lcm of the denominators, ints the values times d."""
     d = lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def least_ratio(pairs: Iterable[Tuple[int, int]], s: int = 1, d: int = 0) -> Tuple[int, int]:
+    """(s, d) for the first least ratio s/d of slack / |delta| over the
+    (slack, delta) integer pairs where delta ≠ 0, taking the start s/d in
+    front of them; 1/0 means no ratio yet.  A later pair replaces the least
+    only if its ratio is strictly smaller, so a tie keeps the earlier one.
+    Raises ValueError where delta ≠ 0 and slack <= 0, since no ε > 0 keeps
+    such a pair subadditive on both sides.
+    """
+    for slack, delta in pairs:
+        if not delta:
+            continue
+        if slack <= 0:
+            raise ValueError("perturbation is non-additive at a tight pair of the function")
+        if delta < 0:
+            delta = -delta
+        if slack * d < s * delta:
+            s, d = slack, delta
+    return s, d
 
 
 def _integer_rows(matrix: RatMatrix) -> List[List[int]]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, NamedTuple
 
 from .complex2d import classify_additive, enumerate_faces, face_ring
-from .minimality import SUBADDITIVITY, _failures, with_f_breakpoint
+from .minimality import _failures, with_f_breakpoint
 from .pwl import PwlPeriodic
 
 _SCALE = 10**6
@@ -120,8 +120,8 @@ def plot_2d_diagram(fn: PwlPeriodic) -> str:
     """Additivity diagram on the unit square, 720 pixels a side.
 
     Additive faces are green (two-dimensional filled, lower-dimensional
-    drawn as lines/dots), the symmetry line is heavy, the subadditivity
-    failures of the minimality scan (``_failures``) are red dots mod 1,
+    drawn as lines/dots), the symmetry line is heavy, the failures of the
+    minimality scan's subadditivity pass (``_failures``) are red dots mod 1,
     projections of 2-D additive faces are gray shadows on the borders, and
     the function graph runs along the top and left margins.
     """
@@ -190,7 +190,7 @@ def plot_2d_diagram(fn: PwlPeriodic) -> str:
 
     # Red dots at the subadditivity failures of the minimality scan, mod 1.
     q = fn.denominator_lcm()
-    failures = {(x % q, y % q) for kind, (x, y), _, _ in _failures(fn, faces) if kind == SUBADDITIVITY}
+    failures = {(x % q, y % q) for _, (x, y), _, _ in _failures(fn, faces)[1]}
     for x, y in sorted(failures):
         svg.circle(px(Fraction(x, q)), py(Fraction(y, q)), 5, fill="red")
 

@@ -1,5 +1,7 @@
 """The two ε ratio scans as they were before they shared one integer scan,
-kept as oracles for ``epsilon_ratio_test`` and ``finite_extremality_test``.
+kept as oracles for ``epsilon_ratio_test`` and ``finite_extremality_test``,
+and the all-pairs loop of ``min_slack_ratio`` as it was before it read only
+the rows that can lower its ratio.
 
 ``epsilon_ratio_test`` indexes the sampled lists pair by pair and keeps its
 running minimum as integer cross products.  ``finite_extremality_test``
@@ -20,7 +22,7 @@ from groupcut import (
     finite_minimality_test,
     finite_perturbation_basis,
 )
-from groupcut.finite import FiniteCertificate, _pert_fn
+from groupcut.finite import FiniteCertificate
 
 
 def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
@@ -51,6 +53,33 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     if best_d == 0:
         raise ValueError("perturbation has no non-additive pair; ratio is unbounded")
     return Fraction(best_s * db, dv * best_d)
+
+
+def min_slack_ratio(iv, ib, drops=None):
+    """``finite.min_slack_ratio`` by one loop over all pairs; the row of
+    each pair that lowers the running least ratio is appended to ``drops``
+    when given."""
+    n = len(iv)
+    iv2, ib2 = list(iv) * 2, list(ib) * 2
+    best_s = best_d = 0
+    for i in range(n):
+        vi, bi = iv[i], ib[i]
+        start = 2 * i % n
+        stop = start + n - i
+        for vj, vk, bj, bk in zip(iv[i:], iv2[start:stop], ib[i:], ib2[start:stop]):
+            d = bi + bj - bk
+            if not d:
+                continue
+            slack = vi + vj - vk
+            if slack <= 0:
+                raise ValueError("perturbation is non-additive at a tight pair of the function")
+            if d < 0:
+                d = -d
+            if not best_d or slack * best_d < best_s * d:
+                best_s, best_d = slack, d
+                if drops is not None:
+                    drops.append(i)
+    return (best_s, best_d) if best_d else None
 
 
 def finite_epsilon(g: FiniteGroupFn, bar) -> Fraction:
@@ -85,9 +114,8 @@ def finite_extremality_test(g: FiniteGroupFn, basis=None) -> FiniteExtremalityVe
         g_plus = FiniteGroupFn(q, g.f_index, tuple(v + eps * b for v, b in zip(g.values, bar)))
         g_minus = FiniteGroupFn(q, g.f_index, tuple(v - eps * b for v, b in zip(g.values, bar)))
         if finite_minimality_test(g_plus).minimal and finite_minimality_test(g_minus).minimal:
-            cert = FiniteCertificate(
-                perturbation=_pert_fn(g, bar), epsilon=eps, g_plus=g_plus, g_minus=g_minus
-            )
+            perturbation = FiniteGroupFn(q, g.f_index, tuple(bar))
+            cert = FiniteCertificate(perturbation=perturbation, epsilon=eps, g_plus=g_plus, g_minus=g_minus)
             return FiniteExtremalityVerdict(extreme=False, basis_dimension=len(basis), certificate=cert)
         eps /= 2
     raise RuntimeError("could not validate a finite perturbation certificate")
