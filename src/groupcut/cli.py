@@ -21,8 +21,8 @@ if TYPE_CHECKING:
 
 # No groupcut layer is imported here: each command imports the layers it runs,
 # so a process compiles only those.  A command that runs face code imports
-# complex2d before any other layer: the largest module, compiled before
-# dataclasses loads inspect, lowers the process's peak RSS.
+# complex2d before any other layer: compiling the largest module first lowers
+# the process's peak RSS.
 
 
 class InputError(Exception):

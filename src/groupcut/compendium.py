@@ -10,13 +10,13 @@ version raise a descriptive error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import pwl
 from .pwl import (
     PwlPeriodic,
+    _Record,
     affine_combine,
     compose_pwl,
     precompose_scale,
@@ -65,10 +65,10 @@ def generate_eps(f, n: int, variant: str = MU_LT_1) -> List[Fraction]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class PsiParams:
+class PsiParams(_Record):
     """Parameters of the psi construction: f and bump amplitudes eps_i."""
 
+    _fields = ("f", "eps")
     f: Fraction
     eps: Tuple[Fraction, ...]
 
@@ -130,14 +130,14 @@ def psi_n(params: PsiParams) -> PwlPeriodic:
     return psi_stages(params)[-1]
 
 
-@dataclass(frozen=True)
-class SequentialMerge:
+class SequentialMerge(_Record):
     """Bivariate sequential merge of an outer function with an inner one.
 
     value(x1, x2) evaluates the merged function; lifting(x1) is the
     representation x1 - inner(x1) * f_inner used in the merge formula.
     """
 
+    _fields = ("outer", "inner")
     outer: PwlPeriodic
     inner: PwlPeriodic
 
@@ -285,8 +285,8 @@ def _construct_affine_combine(params) -> PwlPeriodic:
     )
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(_Record):
+    _fields = ("name", "description", "parameters", "builder")
     name: str
     description: str
     parameters: Tuple[str, ...]

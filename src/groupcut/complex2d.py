@@ -34,14 +34,13 @@ intervals and the grid runs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .pwl import PwlPeriodic
+from .pwl import PwlPeriodic, _Record
 from .rational import scale_to_integers
 
 Point = Tuple[Fraction, Fraction]
@@ -59,8 +58,7 @@ class _Scaled:
     __slots__ = ("_u", "_ints")
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaFace(_Scaled):
+class DeltaFace(_Scaled, _Record):
     """One face F(I,J,K) of the complex, stored with its vertex set.
 
     A face of ``enumerate_faces`` builds each Fraction field from its
@@ -68,6 +66,8 @@ class DeltaFace(_Scaled):
     in ``__post_init__``.
     """
 
+    _fields = ("dim", "interval_x", "interval_y", "interval_z", "vertices")
+    __slots__ = _fields
     dim: int
     interval_x: Interval
     interval_y: Interval
@@ -91,9 +91,6 @@ class DeltaFace(_Scaled):
         value = tuple(map(u.__getitem__, ints)) if i == 0 else u[ints]
         object.__setattr__(self, name, value)
         return value
-
-    def __reduce__(self):
-        return DeltaFace, (self.dim, self.interval_x, self.interval_y, self.interval_z, self.vertices)
 
     @property
     def p1(self) -> Interval:
@@ -556,22 +553,22 @@ def _merge_intervals(intervals: Iterable[IntInterval]) -> List[List[int]]:
     return merged
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(_Record):
     """Additive faces and covered intervals of a function's complex.
 
-    ``maximal_faces`` and ``symmetry_faces`` are computed on first access:
-    the extremality test reads neither.
+    ``maximal_faces`` and ``symmetry_faces`` are computed on first access
+    and kept in the instance's ``__dict__``: the extremality test reads
+    neither.
     """
 
+    _fields = ("additive_faces", "covered_intervals", "f", "_scaled")
     additive_faces: Tuple[DeltaFace, ...]
     covered_intervals: Tuple[Interval, ...]
     f: Fraction
     # q and the projections of each additive face scaled by q, in order,
-    # computed once per face for the covered intervals and the grid runs.
-    _scaled: Optional[Tuple[int, Tuple[_Projections, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
+    # computed once per face for the covered intervals and the grid runs;
+    # private, so it stays out of ==, hash and repr.
+    _scaled: Optional[Tuple[int, Tuple[_Projections, ...]]] = None
 
     @cached_property
     def maximal_faces(self) -> Tuple[DeltaFace, ...]:
@@ -652,8 +649,8 @@ def _additive_face_runs(report: AdditivityReport, n: int) -> List[Tuple[str, int
     return list(dict.fromkeys(runs))
 
 
-@dataclass(frozen=True)
-class FaceCountCheck:
+class FaceCountCheck(_Record):
+    _fields = ("q", "two_faces", "expected", "ok")
     q: int
     two_faces: int
     expected: int

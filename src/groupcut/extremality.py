@@ -12,7 +12,6 @@ interpolated perturbation and an exact ε with both endpoints minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,28 +24,28 @@ from .complex2d import (
 )
 from .minimality import minimality_test, with_f_breakpoint
 from .pwl import MAX_GRID_N  # noqa: F401 -- re-exported as extremality.MAX_GRID_N
-from .pwl import PwlPeriodic, affine_combine, check_grid_size, interpolate_grid
+from .pwl import PwlPeriodic, _Record, affine_combine, check_grid_size, interpolate_grid
 from .rational import least_ratio
 from .solver import Run, perturbation_space
 
 
-@dataclass(frozen=True)
-class PerturbationBasis:
+class PerturbationBasis(_Record):
+    _fields = ("grid_n", "f_index", "vectors")
     grid_n: int
     f_index: int
     vectors: Tuple[Tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class PerturbationCertificate:
+class PerturbationCertificate(_Record):
+    _fields = ("perturbation", "epsilon", "pi_plus", "pi_minus")
     perturbation: PwlPeriodic
     epsilon: Fraction
     pi_plus: PwlPeriodic
     pi_minus: PwlPeriodic
 
 
-@dataclass(frozen=True)
-class ExtremalityVerdict:
+class ExtremalityVerdict(_Record):
+    _fields = ("extreme", "oversampling", "grid_n", "basis_dimension", "covered_intervals", "certificate")
     extreme: bool
     oversampling: int
     grid_n: int
@@ -154,15 +153,14 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     """
     fn_b, n, f_index, report, runs = _additive_system(fn, oversampling)
     basis = perturbation_space(n, f_index, runs)
-    verdict = ExtremalityVerdict(
-        extreme=not basis,
-        oversampling=oversampling,
-        grid_n=n,
-        basis_dimension=len(basis),
-        covered_intervals=report.covered_intervals,
-    )
     if not basis:
-        return verdict
+        return ExtremalityVerdict(
+            extreme=True,
+            oversampling=oversampling,
+            grid_n=n,
+            basis_dimension=0,
+            covered_intervals=report.covered_intervals,
+        )
     # perturbation_space returns its basis in reduced row echelon form, and
     # lifts only the vectors read: here the first.
     bar = interpolate_perturbation(basis[0], n, fn_b.f)
@@ -175,9 +173,16 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     # the admissible magnitude is absorbed into the perturbation.  bar is
     # continuous and canonical, and ε > 0 keeps every change of slope.
     scaled_bar = PwlPeriodic(bar.f, bar.breakpoints, [(eps * v,) * 3 for _, v, _ in bar.limits])
-    return replace(verdict, certificate=PerturbationCertificate(
-        perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
-    ))
+    return ExtremalityVerdict(
+        extreme=False,
+        oversampling=oversampling,
+        grid_n=n,
+        basis_dimension=len(basis),
+        covered_intervals=report.covered_intervals,
+        certificate=PerturbationCertificate(
+            perturbation=scaled_bar, epsilon=Fraction(1), pi_plus=pi_plus, pi_minus=pi_minus
+        ),
+    )
 
 
 def facetness_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:

@@ -10,20 +10,20 @@ space computation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .pwl import PwlPeriodic, check_grid_size, grid_values, interpolate_grid
+from .pwl import PwlPeriodic, _Record, check_grid_size, grid_values, interpolate_grid
 from .rational import least_ratio, scale_to_integers
 
 if TYPE_CHECKING:
     from .minimality import MinimalityVerdict
+    from .solver import LiftedBasis
 
 
-@dataclass(frozen=True)
-class FiniteGroupFn:
+class FiniteGroupFn(_Record):
+    _fields = ("q", "f_index", "values")
     q: int
     f_index: int
     values: Tuple[Fraction, ...]
@@ -218,16 +218,16 @@ def finite_minimality_test(g: FiniteGroupFn) -> MinimalityVerdict:
     return MinimalityVerdict(True)
 
 
-@dataclass(frozen=True)
-class FiniteCertificate:
+class FiniteCertificate(_Record):
+    _fields = ("perturbation", "epsilon", "g_plus", "g_minus")
     perturbation: FiniteGroupFn
     epsilon: Fraction
     g_plus: FiniteGroupFn
     g_minus: FiniteGroupFn
 
 
-@dataclass(frozen=True)
-class FiniteExtremalityVerdict:
+class FiniteExtremalityVerdict(_Record):
+    _fields = ("extreme", "basis_dimension", "certificate")
     extreme: bool
     basis_dimension: int
     certificate: Optional[FiniteCertificate] = None
@@ -253,13 +253,18 @@ def _additive_runs(iv: Sequence[int]) -> List[Tuple[str, int, int, int]]:
     return runs
 
 
-def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
-    """Basis of grid perturbations additive on every tight pair of g."""
+def _finite_basis(g: FiniteGroupFn) -> LiftedBasis:
+    """The basis of ``finite_perturbation_basis``, each vector lifted to its
+    q values when first read."""
     from .solver import perturbation_space  # so that a restriction alone never loads the solver
 
     _check_order(g.q)
-    runs = _additive_runs(g._integers[0])
-    return list(perturbation_space(g.q, g.f_index, runs))
+    return perturbation_space(g.q, g.f_index, _additive_runs(g._integers[0]))
+
+
+def finite_perturbation_basis(g: FiniteGroupFn) -> List[List[Fraction]]:
+    """Basis of grid perturbations additive on every tight pair of g."""
+    return list(_finite_basis(g))
 
 
 def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
@@ -276,7 +281,8 @@ def finite_extremality_test(g: FiniteGroupFn) -> FiniteExtremalityVerdict:
     mv = finite_minimality_test(g)
     if not mv.minimal:
         raise ValueError(f"finite extremality test requires a minimal function: {mv.witness}")
-    basis = finite_perturbation_basis(g)
+    # The basis lifts only the vectors read: here the first.
+    basis = _finite_basis(g)
     if not basis:
         return FiniteExtremalityVerdict(extreme=True, basis_dimension=0)
 

@@ -10,7 +10,6 @@ because the slack Δπ is affine on the relative interior of every face.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Tuple, Union
@@ -26,7 +25,7 @@ from .complex2d import (
     enumerate_faces,
     scaled_vertices,
 )
-from .pwl import PwlPeriodic
+from .pwl import PwlPeriodic, _Record
 
 ORIGIN_VALUE = "originValue"
 NEGATIVITY = "negativity"
@@ -36,8 +35,8 @@ SUBADDITIVITY = "subadditivity"
 Location = Union[Fraction, Tuple[Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
-class MinimalityWitness:
+class MinimalityWitness(_Record):
+    _fields = ("kind", "location", "value", "face_vertices")
     kind: str
     location: Location
     value: Fraction
@@ -46,8 +45,8 @@ class MinimalityWitness:
     face_vertices: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(_Record):
+    _fields = ("minimal", "witness")
     minimal: bool
     witness: Optional[MinimalityWitness] = None
 

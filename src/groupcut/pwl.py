@@ -323,6 +323,76 @@ class SlopeReport:
         self.right_continuous_at_0 = r == v
 
 
+class _Record:
+    """Base of the package's immutable records, in place of frozen dataclasses.
+
+    A record class names its fields in order in the class tuple ``_fields``;
+    a class attribute named after a trailing field is that field's default.
+    Records are built from positional or keyword fields, then run
+    ``__post_init__``; they compare equal to records of their own class only,
+    and hash, print and pickle by their fields, as the frozen dataclass does;
+    assignment and deletion raise ``AttributeError``.  A field whose name
+    starts with ``_`` stays out of ``==``, ``hash`` and ``repr``.  The
+    methods are written here once; no class generates its own.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        own = vars(cls)
+        slots = own.get("__slots__", ())
+        cls._defaults = {name: own[name] for name in cls._fields if name in own and name not in slots}
+        cls._compared = tuple(name for name in cls._fields if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected field {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 def slope_report(fn: PwlPeriodic) -> SlopeReport:
     return SlopeReport(fn.canonicalize())
 

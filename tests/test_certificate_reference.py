@@ -89,7 +89,7 @@ def test_finite_test_refuses_a_tight_pair(monkeypatch):
     old = ref.finite_extremality_test(GMIC5, basis=[NOT_ADDITIVE_AT_TIGHT_PAIR])
     assert old.certificate.epsilon == 0
     assert old.certificate.g_plus == old.certificate.g_minus == GMIC5
-    monkeypatch.setattr(finite, "finite_perturbation_basis", lambda g: [NOT_ADDITIVE_AT_TIGHT_PAIR])
+    monkeypatch.setattr(finite, "_finite_basis", lambda g: [NOT_ADDITIVE_AT_TIGHT_PAIR])
     with pytest.raises(ValueError, match="tight pair"):
         finite_extremality_test(GMIC5)
 

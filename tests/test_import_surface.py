@@ -153,14 +153,35 @@ class TestImportSurface:
         ids=["test-minimality", "test-extremality", "plot-diagram"],
     )
     def test_face_commands_compile_the_complex_first(self, files, argv):
-        # The largest module, compiled before any other layer and before
-        # dataclasses loads inspect, holds the process's peak RSS down.
+        # The largest module, compiled before any other layer, holds the
+        # process's peak RSS down.
         stdout, modules = modules_loaded_by_cli(*(a.format(**files) for a in argv))
         assert stdout
         layers = [m for m in modules if m.startswith("groupcut.") and m not in CLI_ITSELF]
         assert layers[0] == "groupcut.complex2d"
-        if "dataclasses" in modules:  # else the interpreter loaded it at start
-            assert modules.index("groupcut.complex2d") < modules.index("dataclasses")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("list",),
+            ("construct", "gmic", "--f", "4/5"),
+            ("apply", "combine", "{gmic}", "--a", "1/2", "--b", "1/2", "--other", "{psi1}"),
+            ("restrict", "{mid}", "--q", "10", "--m", "3"),
+            ("interpolate", "{finite}"),
+            ("test", "minimality", "{mid}"),
+            ("test", "extremality", "{mid}"),
+            ("plot", "function", "{mid}"),
+            ("plot", "diagram", "{mid}"),
+        ],
+        ids=["list", "construct", "apply-combine", "restrict", "interpolate", "test-minimality",
+             "test-extremality", "plot-function", "plot-diagram"],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, files, argv):
+        # The records are plain classes: importing dataclasses, and the
+        # inspect module it loads, would cost every process about 6 ms.
+        stdout, modules = modules_loaded_by_cli(*(a.format(**files) for a in argv))
+        assert stdout
+        assert not {"dataclasses", "inspect"} & set(modules)
 
     def test_minimality_of_a_function_skips_the_other_tests(self, tmp_path):
         path = tmp_path / "gmic.json"

@@ -7,6 +7,8 @@ fixtures, on generated λ·gmic + (1−λ)·psi_k and on the q = 501 midpoint:
 
 - the verdict's basis dimension is the number of vectors of
   ``perturbation_space_basis``, and the extremality test lifted at most one;
+  so did ``finite_extremality_test`` on restrictions, whose certificate
+  perturbation is the first vector of ``finite_perturbation_basis``;
 - the certificate's perturbation is ε times the interpolant of the first
   vector, byte for byte the ε·bar + 0·bar that ``affine_combine`` gave;
 - ``perturbation_space_basis`` and ``finite_perturbation_basis`` still
@@ -25,6 +27,7 @@ from groupcut import (
     epsilon_ratio_test,
     extremality,
     extremality_test,
+    solver,
     finite_extremality_test,
     finite_perturbation_basis,
     gmic,
@@ -70,6 +73,25 @@ def assert_first_vector_only(fn, monkeypatch):
     return verdict
 
 
+def assert_finite_first_vector_only(g, monkeypatch):
+    solved = []
+    solve = solver.perturbation_space
+
+    def recorded(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(solver, "perturbation_space", recorded)
+    verdict = finite_extremality_test(g)
+    assert len(solved) == 1 and solved[0]._lifted.keys() <= {0}
+    monkeypatch.undo()
+    basis = finite_perturbation_basis(g)
+    assert verdict.basis_dimension == len(basis) == len(solved[0])
+    if basis:
+        assert verdict.certificate.perturbation.values == tuple(basis[0])
+    return verdict
+
+
 @pytest.mark.parametrize("name", CONTINUOUS)
 def test_fixtures_lift_the_first_vector(name, monkeypatch):
     assert_first_vector_only(FIXTURES[name], monkeypatch)
@@ -78,6 +100,19 @@ def test_fixtures_lift_the_first_vector(name, monkeypatch):
 def test_midpoint_501_lifts_the_first_vector(monkeypatch):
     verdict = assert_first_vector_only(midpoint(501, 400), monkeypatch)
     assert verdict.basis_dimension == 150
+
+
+@pytest.mark.parametrize("name", ["psi_1", "combo_k1", "combo_k2"])
+def test_finite_extremality_lifts_the_first_vector(name, monkeypatch):
+    fn = FIXTURES[name]
+    g = restrict_to_finite_group(fn, fn.denominator_lcm(), 3)
+    assert_finite_first_vector_only(g, monkeypatch)
+
+
+def test_finite_midpoint_lifts_the_first_vector(monkeypatch):
+    g = restrict_to_finite_group(midpoint(101, 80), 101, 3)
+    verdict = assert_finite_first_vector_only(g, monkeypatch)
+    assert not verdict.extreme and verdict.basis_dimension > 1
 
 
 @given(
