@@ -199,13 +199,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="groupcut",
-        description="Exact tests and constructions for periodic piecewise linear cut functions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_construct(sub) -> None:
     p = sub.add_parser("construct", help="build a registry family")
     p.add_argument("name")
     for name, parse in _CONSTRUCT_OPTIONS.items():
@@ -213,9 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_construct)
 
+
+def _add_list(sub) -> None:
     p = sub.add_parser("list", help="list registry families")
     p.set_defaults(func=_cmd_list)
 
+
+def _add_test(sub) -> None:
     p = sub.add_parser("test", help="run a decision procedure")
     tsub = p.add_subparsers(dest="test_kind", required=True)
     t = tsub.add_parser("minimality")
@@ -229,6 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--output")
     t.set_defaults(func=_cmd_test_extremality)
 
+
+def _add_restrict(sub) -> None:
     p = sub.add_parser("restrict", help="sample onto a finite cyclic group")
     p.add_argument("function")
     p.add_argument("--q", type=int, required=True)
@@ -236,11 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_restrict)
 
+
+def _add_interpolate(sub) -> None:
     p = sub.add_parser("interpolate", help="piecewise linear interpolant of a finite function")
     p.add_argument("function")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_interpolate)
 
+
+def _add_apply(sub) -> None:
     p = sub.add_parser("apply", help="apply an operation to function files")
     p.add_argument("operation", choices=["scale", "negate", "combine", "projected_sequential_merge"])
     p.add_argument("function")
@@ -252,18 +256,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_apply)
 
+
+def _add_plot(sub) -> None:
     p = sub.add_parser("plot", help="render an SVG")
     p.add_argument("kind", choices=["function", "diagram"])
     p.add_argument("function")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_plot)
 
+
+# Each command's parser, in the order of the help.
+_COMMANDS = {
+    "construct": _add_construct,
+    "list": _add_list,
+    "test": _add_test,
+    "restrict": _add_restrict,
+    "interpolate": _add_interpolate,
+    "apply": _add_apply,
+    "plot": _add_plot,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone if it names one.
+
+    Only the top-level parser speaks of the other commands: its help, which
+    a bare ``-h`` asks for, and its usage, printed with its own usage
+    errors.  A build of one command gives its subparsers' metavar the
+    choices of the whole build, so that usage reads the same.  Its other
+    errors, a missing or unknown command, come only without a known
+    command first, and so from the whole build.
+    """
+    parser = argparse.ArgumentParser(
+        prog="groupcut",
+        description="Exact tests and constructions for periodic piecewise linear cut functions",
+    )
+    if command in _COMMANDS:
+        metavar, names = "{" + ",".join(_COMMANDS) + "}", [command]
+    else:
+        metavar, names = None, list(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_threads_env()
         return args.func(args)

@@ -18,7 +18,10 @@ in the box's corners and the points where those lines cross its sides; the
 kinds of I, J and K give the dimension.  Each face is built once, by the
 one cell I×J that owns it, so no face is built twice and dropped as a
 duplicate, and each dimension is sorted on one packed integer key.
-Each face keeps its integers, its sorted vertices and its triple scaled by
+The enumeration is a read-only ``FaceSequence`` of (dim, integers) rows
+that builds a face when it is first read and keeps it: the
+classification, the face count and the failure scan read the rows, and
+build only the faces they return.  Each face keeps its integers, its sorted vertices and its triple scaled by
 q, and builds its Fraction fields on first read through one memoizing
 unscaler that the whole enumeration shares; dividing by q > 0 keeps every
 order the kernel sorts by.  One evaluator, ``_scaled_pi``, reads π at the
@@ -34,6 +37,7 @@ intervals and the grid runs.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence as _Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -191,8 +195,9 @@ def _sum_faces(ends: Sequence[int]) -> List[IntInterval]:
     return out
 
 
-def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
-    """All distinct faces of the complex, sorted by (dim, vertex list).
+def enumerate_faces(fn: PwlPeriodic) -> FaceSequence:
+    """All distinct faces of the complex, sorted by (dim, vertex list), as a
+    ``FaceSequence`` that builds each face when it is first read.
 
     Each face is built once, as F(I, J, K) by the one cell I×J that owns it.
     Its triple is the representative: the first triple that gives its
@@ -334,12 +339,54 @@ def enumerate_faces(fn: PwlPeriodic) -> List[DeltaFace]:
                 corner = x1 == q and y1 == q
             if corner:
                 points[x1 * r + y1] = (((x1, y1),), ix, iy, faces_z[last])
-    u = _Unscaler(q)
-    faces = []
+    rows = []
     for dim, found in enumerate((points, segments, polygons)):
-        faces += [_face(dim, found[key], u) for key in sorted(found)]
-        found.clear()  # its keys are read: free them before the next dimension's faces
-    return faces
+        rows += [(dim, found[key]) for key in sorted(found)]
+        found.clear()  # its keys are read: free them before the next dimension's rows
+    return FaceSequence(rows, q)
+
+
+class FaceSequence(_Sequence):
+    """The faces of ``enumerate_faces``, held as (dim, integers) rows and
+    each built as a ``DeltaFace`` on first read and kept, so that
+    ``faces[i] is faces[i]``: a reader of the integers alone builds no face.
+    Read-only; it compares equal to the list of its faces, and pickles and
+    copies as its rows and q."""
+
+    __slots__ = ("_rows", "_u", "_built")
+
+    def __init__(self, rows: List[Tuple[int, tuple]], q: int) -> None:
+        self._rows, self._u, self._built = rows, _Unscaler(q), [None] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self._rows))[i]]
+        face = self._built[i]
+        if face is None:
+            dim, ints = self._rows[i]
+            face = self._built[i] = _face(dim, ints, self._u)
+        return face
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __reduce__(self):
+        return FaceSequence, (self._rows, self._u.q)
+
+
+def _face_rows(faces: Sequence[DeltaFace], q: int) -> Sequence[Tuple[int, tuple]]:
+    """(dim, integers) of each face scaled by q, its sorted vertices first:
+    the rows of an enumeration at scale q, read without building a face, or
+    else the dimension and ``_vertices_at`` of each face."""
+    if isinstance(faces, FaceSequence) and faces._u.q == q:
+        return faces._rows
+    return [(face.dim, (_vertices_at(face, q),)) for face in faces]
 
 
 def face_ring(face: DeltaFace) -> List[Point]:
@@ -412,7 +459,13 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
     """(slacks, d): d·Δπ at each scaled vertex (x, y) in [0, n)² of ``verts``
     as integers, over the d > 0 of ``_scaled_pi``."""
     lim, d = _scaled_pi(fn, n, verts)
-    return [lim[x][1] + lim[y][1] - lim[(x + y) % n][1] for x, y in verts], d
+    return _vertex_slacks(lim, n, verts), d
+
+
+def _vertex_slacks(lim: Dict[int, Triple], n: int, verts: Sequence[IntPoint]) -> List[int]:
+    """d·Δπ at each scaled vertex (x, y) of ``verts``, from the values of
+    ``lim`` at scale n (``_scaled_pi``)."""
+    return [lim[x][1] + lim[y][1] - lim[(x + y) % n][1] for x, y in verts]
 
 
 def _face_limits(lim: Dict[int, Triple], n: int, sv: Sequence[IntPoint], points=None) -> List[int]:
@@ -467,10 +520,11 @@ def _additive_scaled(
     fn: PwlPeriodic, faces: Sequence[DeltaFace]
 ) -> Tuple[int, List[DeltaFace], List[_Projections]]:
     """q = ``fn.denominator_lcm()``, the faces of ``classify_additive`` and
-    their ``_projections`` scaled by q, from each face's integers read once."""
+    their ``_projections`` scaled by q, from each face's integers read once;
+    of an enumeration, only the faces kept are built."""
     q = fn.denominator_lcm()
     _, verts = scaled_vertices(fn)
-    scaled = [_vertices_at(face, q) for face in faces]
+    scaled = [ints[0] for _, ints in _face_rows(faces, q)]
     if fn.is_continuous():
         slacks, _ = scaled_slacks(fn, q, verts)
         # Δπ is periodic: a vertex on x = q or y = q reads the slack at 0.
@@ -481,7 +535,8 @@ def _additive_scaled(
     else:
         lim, _ = _scaled_pi(fn, q, verts)
         keep = [not any(_face_limits(lim, q, sv)) for sv in scaled]
-    return q, list(compress(faces, keep)), list(map(_projections, compress(scaled, keep)))
+    kept = list(compress(range(len(scaled)), keep))
+    return q, [faces[i] for i in kept], [_projections(scaled[i]) for i in kept]
 
 
 def _vertices_at(face: DeltaFace, q: int) -> Tuple[IntPoint, ...]:
@@ -528,15 +583,15 @@ def _projections(verts: Sequence[IntPoint]) -> _Projections:
     return x0, x1, y0, y1, x0 + y_first, x1 + y_last
 
 
-def _on_symmetry_line(face: DeltaFace, f: Fraction) -> bool:
-    """Whether the face lies on x + y = f (mod 1), read at scale q from its
-    end vertices, where x + y is least and greatest (see ``_projections``).
-    No face meets two such lines: its x + y range is shorter than q, or is
-    [kq, kq + q] when 0 is the only breakpoint, and qf is not 0 (mod q)."""
-    (x0, y0), (x1, y1) = face._ints[0][0], face._ints[0][-1]
+def _on_symmetry_line(verts: Sequence[IntPoint], q: int, f: Fraction) -> bool:
+    """Whether the face with sorted vertices verts, scaled by q, lies on
+    x + y = f (mod 1), read from its end vertices, where x + y is least and
+    greatest (see ``_projections``).  No face meets two such lines: its
+    x + y range is shorter than q, or is [kq, kq + q] when 0 is the only
+    breakpoint, and qf is not 0 (mod q)."""
+    (x0, y0), (x1, y1) = verts[0], verts[-1]
     if x0 + y0 != x1 + y1:
         return False
-    q = face._u.q
     t, r = divmod(f.numerator * q, f.denominator)
     return not r and (x0 + y0 - t) % q == 0
 
@@ -590,7 +645,9 @@ class AdditivityReport(_Record):
     @cached_property
     def symmetry_faces(self) -> Tuple[DeltaFace, ...]:
         """Additive faces lying on the line x + y = f (mod 1)."""
-        return tuple(face for face in self.additive_faces if _on_symmetry_line(face, self.f))
+        return tuple(
+            face for face in self.additive_faces if _on_symmetry_line(face._ints[0], face._u.q, self.f)
+        )
 
 
 def additivity_report(fn: PwlPeriodic) -> AdditivityReport:
@@ -663,5 +720,5 @@ def face_count_check(fn: PwlPeriodic) -> FaceCountCheck:
     uniform = tuple(Fraction(i, q) for i in range(q))
     if fn.breakpoints != uniform:
         raise ValueError("face_count_check requires uniform (1/q)Z breakpoints")
-    count = sum(1 for f in enumerate_faces(fn) if f.dim == 2)
+    count = sum(1 for dim, _ in enumerate_faces(fn)._rows if dim == 2)
     return FaceCountCheck(q=q, two_faces=count, expected=2 * q * q, ok=count == 2 * q * q)

@@ -18,9 +18,10 @@ from .complex2d import (
     DeltaFace,
     IntPoint,
     _face_limits,
+    _face_rows,
     _on_symmetry_line,
     _scaled_pi,
-    _vertices_at,
+    _vertex_slacks,
     delta_pi,
     enumerate_faces,
     scaled_vertices,
@@ -74,11 +75,12 @@ def _failures(
     continuous π the vertices with Δπ < 0; with jumps, the negative limits
     along every face (at a 0-D face, Δπ).  The faces are ``faces`` =
     ``enumerate_faces(fn)``, enumerated by the first pass that needs them
-    if not given.
+    if not given; the passes read their integer rows, and build a face only
+    where it yields a failure.
     """
     q, verts = scaled_vertices(fn)
     lim, d = _scaled_pi(fn, q, verts)
-    slacks = [lim[x][1] + lim[y][1] - lim[(x + y) % q][1] for x, y in verts]
+    slacks = _vertex_slacks(lim, q, verts)
     f = int(fn.f * q)
     on_line = (
         (SYMMETRY, v, Fraction(s, d), None) for v, s in zip(verts, slacks) if s and (v[0] + v[1] - f) % q == 0
@@ -90,13 +92,13 @@ def _failures(
         nonlocal faces
         faces = enumerate_faces(fn) if faces is None else faces
         kind = SYMMETRY if symmetry else SUBADDITIVITY
-        for face in faces:
-            if symmetry and not (face.dim == 1 and _on_symmetry_line(face, fn.f)):
+        for k, (dim, ints) in enumerate(_face_rows(faces, q)):
+            sv = ints[0]
+            if symmetry and not (dim == 1 and _on_symmetry_line(sv, q, fn.f)):
                 continue
-            sv = _vertices_at(face, q)
             for v, slack in zip(sv, _face_limits(lim, q, sv)):
                 if slack < 0 or symmetry and slack:
-                    yield kind, v, Fraction(slack, d), face
+                    yield kind, v, Fraction(slack, d), faces[k]
 
     return chain(on_line, along_faces(True)), along_faces(False)
 

@@ -128,6 +128,11 @@ class PwlPeriodic:
             f"limits={list(self.limits)})"
         )
 
+    def __reduce__(self):
+        # Through the constructor, so that every pickle protocol, 0 and 1
+        # included, and copy take the slotted instance.
+        return PwlPeriodic, (self.f, self.breakpoints, self.limits)
+
     def denominator_lcm(self) -> int:
         """lcm of the denominators of all breakpoints and f."""
         return lcm(self.f.denominator, *(b.denominator for b in self.breakpoints))

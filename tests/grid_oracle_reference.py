@@ -2,13 +2,16 @@
 ``minimality_grid_oracle``, which checked the minimality conditions on the
 values of fn over ((1/(refine*q))Z)^2 in its own loops.  The library's
 oracle is now the finite-group test of the restriction to that grid; the
-tests compare the two verdict for verdict, witnesses included.
+tests compare the two verdict for verdict, witnesses included.  Its
+subadditivity scan is the all-pairs scan of ``finite_scan_reference``, not
+the library's scan over the symmetric triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from finite_scan_reference import first_subadditivity_violation
 from groupcut.minimality import (
     NEGATIVITY,
     ORIGIN_VALUE,
@@ -17,7 +20,6 @@ from groupcut.minimality import (
     MinimalityVerdict,
     MinimalityWitness,
 )
-from groupcut.finite import first_subadditivity_violation
 from groupcut.pwl import PwlPeriodic, grid_values
 from groupcut.rational import scale_to_integers
 

@@ -29,7 +29,7 @@ def check_faces(fn):
         for f in fs:
             t, r = divmod(f.numerator * q, f.denominator)
             every = not r and all((x + y - t) % q == 0 for x, y in verts)
-            assert complex2d._on_symmetry_line(face, f) == every, (face, f)
+            assert complex2d._on_symmetry_line(verts, q, f) == every, (face, f)
 
 
 @given(breakpoint_sets())

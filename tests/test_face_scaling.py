@@ -112,18 +112,38 @@ def test_projections_once_per_additive_face(psi45_stages, monkeypatch):
 
 
 def test_vertices_scaled_once_per_face(psi45_stages, monkeypatch):
-    """``classify_additive`` reads each face's scaled vertices once, for the
-    additivity test and the projections of the faces it keeps alike."""
+    """``classify_additive`` reads each row of the enumeration once, for the
+    additivity test and the projections of the faces it keeps alike; it
+    reads a row again only to build a face it keeps, and scales no face
+    again through ``_vertices_at``."""
     fn = psi45_stages[3]
-    calls = []
-    real = complex2d._vertices_at
+    scanned, built, scaled = [], [], []
+    real_enumerate, real_vertices_at = complex2d.enumerate_faces, complex2d._vertices_at
 
-    def counted(face, q):
-        calls.append(face)
-        return real(face, q)
+    class CountedRows(list):
+        def __iter__(self):
+            for row in list.__iter__(self):
+                scanned.append(row)
+                yield row
 
-    monkeypatch.setattr(complex2d, "_vertices_at", counted)
+        def __getitem__(self, i):
+            built.append(list.__getitem__(self, i))
+            return built[-1]
+
+    def counted_enumeration(fn):
+        faces = real_enumerate(fn)
+        faces._rows = CountedRows(faces._rows)
+        return faces
+
+    def counted_vertices_at(face, q):
+        scaled.append(face)
+        return real_vertices_at(face, q)
+
+    monkeypatch.setattr(complex2d, "enumerate_faces", counted_enumeration)
+    monkeypatch.setattr(complex2d, "_vertices_at", counted_vertices_at)
     report = additivity_report(fn)
-    faces = enumerate_faces(fn)
-    assert len(calls) == len(faces) == 2457
-    assert len(report.additive_faces) < len(faces)
+    faces = real_enumerate(fn)
+    assert len(scanned) == len({id(row) for row in scanned}) == len(faces) == 2457
+    assert len(built) == len({id(row) for row in built}) == len(report.additive_faces) == 541
+    assert [ints for _, ints in built] == [face._ints for face in report.additive_faces]
+    assert scaled == []

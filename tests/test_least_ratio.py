@@ -1,12 +1,15 @@
 """One least-ratio rule for both certificates, and the finite ε read from the
 rows that can lower it.
 
-``min_slack_ratio`` must be ``==`` to the all-pairs loop of
-``certificate_reference`` (or raise the same ``ValueError``) on generated
-integer vectors, on the m = 3 restrictions of λ·gmic + (1−λ)·psi_k and on
-the ½·gmic + ½·psi_1 midpoint at q = 100 and q = 1,000.  On a minimal g it
-reads pair by pair exactly the rows where the loop's running least ratio
-drops.
+``min_slack_ratio`` reads only the pairs i <= j <= k of the triples
+i + j + k ≡ f of vectors symmetric about f.  It must be ``==`` to the
+all-pairs loop of ``certificate_reference`` and to the all-pairs scan of
+``finite_scan_reference`` (or raise the same ``ValueError``) on the
+generated symmetric vectors of ``symmetric_pairs``, on the m = 3
+restrictions of λ·gmic + (1−λ)·psi_k and on the ½·gmic + ½·psi_1 midpoint
+at q = 100 and q = 1,000; the all-pairs scan must match the loop on any
+vectors.  On a minimal g it reads pair by pair exactly the rows where the
+loop's running least ratio drops.
 """
 
 import random
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import certificate_reference as ref
+import finite_scan_reference as ref_scan
 from groupcut import (
     PsiParams,
     affine_combine,
@@ -29,15 +33,16 @@ from groupcut import finite
 from groupcut.finite import _additive_runs, min_slack_ratio
 from groupcut.rational import least_ratio, scale_to_integers
 from groupcut.solver import perturbation_space
+from symmetric_vectors import is_symmetric, symmetric_pairs
 
 F = Fraction
 F45 = F(4, 5)
 REFUSAL = "non-additive at a tight pair"
 
 
-def outcome(scan, iv, ib):
+def outcome(scan, *args):
     try:
-        return scan(iv, ib)
+        return scan(*args)
     except ValueError as exc:
         return str(exc)
 
@@ -90,22 +95,23 @@ def generated_pairs(count=200, seed=24):
         yield iv, ib
 
 
-def least_pairs(iv, ib):
-    """How many pairs i <= j attain the least slack / |Δb|, Δb ≠ 0."""
+def least_pairs(iv, ib, f=None):
+    """How many pairs i <= j attain the least slack / |Δb|, Δb ≠ 0; with f,
+    only the pairs i <= j <= k, k = (f - i - j) mod n, one per triple."""
     n = len(iv)
     ratios = [
         F(iv[i] + iv[j] - iv[(i + j) % n], abs(d))
         for i in range(n)
         for j in range(i, n)
-        if (d := ib[i] + ib[j] - ib[(i + j) % n])
+        if (f is None or j <= (f - i - j) % n) and (d := ib[i] + ib[j] - ib[(i + j) % n])
     ]
     return ratios.count(min(ratios)) if ratios else 0
 
 
-def test_generated_vectors_match_the_loop():
+def test_all_pairs_scan_matches_the_loop():
     seen = {"ratio": 0, "tie": 0, "none": 0, "refused": 0, "not subadditive": 0}
     for iv, ib in generated_pairs():
-        got = outcome(min_slack_ratio, iv, ib)
+        got = outcome(ref_scan.min_slack_ratio, iv, ib)
         assert got == outcome(ref.min_slack_ratio, iv, ib), (iv, ib)
         if isinstance(got, str):
             seen["refused"] += 1
@@ -116,6 +122,32 @@ def test_generated_vectors_match_the_loop():
         seen["not subadditive"] += any(iv[i] + iv[j] < iv[(i + j) % n] for i in range(n) for j in range(n))
     # The draws reach every outcome, ties and inputs that are not subadditive.
     assert all(seen.values()), seen
+
+
+def test_generated_vectors_match_the_loop():
+    """On symmetric vectors, the triple scan gives the all-pairs answer.  The
+    draws reach every outcome; ties between distinct triples; inputs that
+    are not subadditive; and perturbations that vanish at 0 and f."""
+    seen = {"ratio": 0, "tie": 0, "none": 0, "refused": 0, "not subadditive": 0, "vanishing": 0}
+    for iv, ib, f in symmetric_pairs():
+        assert is_symmetric(iv, f) and is_symmetric(ib, f)
+        got = outcome(min_slack_ratio, iv, ib, f)
+        assert got == outcome(ref.min_slack_ratio, iv, ib) == outcome(ref_scan.min_slack_ratio, iv, ib), (iv, ib, f)
+        seen["vanishing"] += ib[0] == ib[f] == 0 < f
+        if isinstance(got, str):
+            seen["refused"] += 1
+            continue
+        seen["none" if got is None else "ratio"] += 1
+        seen["tie"] += least_pairs(iv, ib, f) > 1
+        n = len(iv)
+        seen["not subadditive"] += any(iv[i] + iv[j] < iv[(i + j) % n] for i in range(n) for j in range(n))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("iv,ib,f", [([0, 2, 1, 1], [0, 1, 0, 0], 1), ([0, 1, 3], [0, 0, 0], 1)])
+def test_vectors_not_symmetric_about_f_are_refused(iv, ib, f):
+    with pytest.raises(ValueError, match="v\\(x\\) \\+ v\\(f - x\\) constant"):
+        min_slack_ratio(iv, ib, f)
 
 
 # -- restrictions and midpoints ------------------------------------------------
@@ -163,12 +195,12 @@ def test_minimal_inputs_read_only_the_rows_where_the_ratio_drops(monkeypatch, bu
     read = []
     flagged_row = finite._flagged_row
 
-    def recording(vectors, start):
-        i = flagged_row(vectors, start)
+    def recording(vectors, f_index, start):
+        i = flagged_row(vectors, f_index, start)
         if i is not None:
             read.append(i)
         return i
 
     monkeypatch.setattr(finite, "_flagged_row", recording)
-    assert min_slack_ratio(iv, ib) == want
+    assert min_slack_ratio(iv, ib, g.f_index) == want
     assert read == sorted(set(drops))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finite_scan_reference as ref_scan
 from groupcut import (
     gmic,
     make_pwl,
@@ -21,6 +22,7 @@ from groupcut.minimality import (
     MinimalityWitness,
 )
 from groupcut.finite import first_subadditivity_violation
+from symmetric_vectors import symmetric
 
 F = Fraction
 
@@ -172,15 +174,26 @@ def first_violation_by_loops(iv):
     return None
 
 
-@given(st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=40))
+@given(
+    st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=39),
+)
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_row_scan_finds_the_first_violation(iv):
-    assert first_subadditivity_violation(iv) == first_violation_by_loops(iv)
+def test_row_scan_finds_the_first_violation(iv, f):
+    # The all-pairs scan on any vector; the triple scan on it made symmetric about f.
+    assert ref_scan.first_subadditivity_violation(iv) == first_violation_by_loops(iv)
+    f %= len(iv)
+    sym = symmetric(iv, f, 2 * iv[0])
+    assert first_subadditivity_violation(sym, f) == first_violation_by_loops(sym)
 
 
 def test_row_scan_on_a_subadditive_vector_and_a_dent():
-    n = 60
-    tent = [min(i, n - i) for i in range(n)]  # subadditive on Z/n
-    assert first_subadditivity_violation(tent) is None
-    tent[n - 2] -= 3
-    assert first_subadditivity_violation(tent) == first_violation_by_loops(tent) == (1, 58)
+    # gmic on Z/60 with f = 48, scaled to integers: subadditive and symmetric.
+    n, f = 60, 48
+    g = [x * (n - f) if x <= f else (n - x) * f for x in range(n)]
+    assert first_subadditivity_violation(g, f) is None
+    # A dent at 58, and its mirror at f - 58 = 50 (mod 60), to stay symmetric.
+    g[n - 2] -= 3
+    g[(f - (n - 2)) % n] += 3
+    # The first violation lies in the second lane window of row 51, across the wrap.
+    assert first_subadditivity_violation(g, f) == first_violation_by_loops(g) == (51, 58)

@@ -5,8 +5,10 @@ Each of the 14 record classes is checked against a twin built here by
 defaults (``AdditivityReport._scaled`` out of ``==``, ``hash`` and
 ``repr``, as it was declared): construction by position, by keyword and
 with defaults; ``==``, ``hash`` and ``repr``; refused assignment and
-deletion; pickling and copying; and the ``__post_init__`` refusals of
-``PsiParams`` and ``FiniteGroupFn``.
+deletion; pickling at every protocol and copying; and the
+``__post_init__`` refusals of ``PsiParams`` and ``FiniteGroupFn``.
+``PwlPeriodic``, which the records hold, and a whole certified verdict
+pickle at every protocol too.
 """
 
 import copy
@@ -29,7 +31,11 @@ from groupcut import (
     PerturbationCertificate,
     PsiParams,
     SequentialMerge,
+    affine_combine,
+    extremality_test,
+    generate_eps,
     gmic,
+    psi_stages,
 )
 from groupcut.compendium import RegistryEntry
 from groupcut.finite import FiniteCertificate
@@ -178,13 +184,27 @@ def test_assignment_and_deletion_raise(cls, args):
 @pytest.mark.parametrize("cls, args", CASES)
 def test_pickle_and_copy(cls, args):
     record, twin = cls(*args), TWINS[cls](*args)
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))
         assert type(clone) is cls and clone == record
         assert_like(clone, twin)
     for copier in copy.copy, copy.deepcopy:
         assert type(copier(record)) is cls and copier(record) == record
         assert_like(copier(record), copier(twin))
+
+
+def test_functions_and_certificates_pickle_at_every_protocol():
+    psi_1 = psi_stages(PsiParams(F(4, 5), tuple(generate_eps(F(4, 5), 1))))[1]
+    verdict = extremality_test(affine_combine(F(1, 2), PI, F(1, 2), psi_1))
+    assert verdict.certificate is not None
+    values = [PI, psi_1, SequentialMerge(PI, gmic(F(1, 2))), verdict.certificate, verdict]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in values:
+            clone = pickle.loads(pickle.dumps(value, protocol))
+            assert type(clone) is type(value) and clone == value
+            assert repr(clone) == repr(value)
+    for copier in copy.copy, copy.deepcopy:
+        assert [repr(copier(value)) for value in values] == [repr(value) for value in values]
 
 
 def test_cached_properties_survive_the_frozen_records():

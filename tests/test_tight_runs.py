@@ -108,15 +108,15 @@ def test_runs_are_read_through_the_row_kernel(monkeypatch):
     def counted(iv):
         nbytes, row = kernel(iv)
 
-        def counted_row(i, j0):
-            rows.append((i, j0))
-            return row(i, j0)
+        def counted_row(i, j0, m):
+            rows.append((i, j0, m))
+            return row(i, j0, m)
 
         return nbytes, counted_row
 
     monkeypatch.setattr(finite, "_slack_rows", counted)
     basis = finite_perturbation_basis(g)
-    assert {(j, 0) for j in range(g.q)} <= set(rows)
+    assert {(j, 0, g.q) for j in range(g.q)} <= set(rows)
     monkeypatch.undo()
     assert basis == finite_perturbation_basis(g)
 
