@@ -4,9 +4,9 @@ Rationals are :class:`fractions.Fraction` throughout the package; the stdlib
 type already guarantees the canonical-form invariants we rely on (reduced
 terms, positive denominator, exact field arithmetic, ``p/q`` string form).
 This module adds the strict parser used by the JSON layer and one integer
-Gauss–Jordan kernel behind ``rref``, ``rank`` and ``nullspace``: rows are
-scaled by the lcm of their denominators, the pivot is the first row with a
-nonzero entry in the scan column, and each other row becomes
+Gauss–Jordan kernel behind ``rref``, ``rank``, ``nullspace`` and the solver,
+on sparse rows, {column: entry} dicts of the nonzero integers: the pivot is
+the first row with an entry in the scan column, and each other row becomes
 p·row − a·pivot_row over its gcd, as in fraction-free elimination (Bareiss,
 Math. Comp. 22, 1968).  These row operations keep the row space, and at the
 end each pivot row, divided by its pivot, is a row of a matrix in reduced
@@ -24,9 +24,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Rat = Fraction
+Row = Dict[int, int]
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -115,38 +116,39 @@ def least_ratio(pairs: Iterable[Tuple[int, int]], s: int = 1, d: int = 0) -> Tup
     return s, d
 
 
-def _integer_rows(matrix: RatMatrix) -> List[List[int]]:
-    return [scale_to_integers(row)[0] for row in matrix.rows]
+def _integer_rows(matrix: RatMatrix) -> List[Row]:
+    return [{c: x for c, x in enumerate(scale_to_integers(row)[0]) if x} for row in matrix.rows]
 
 
-def eliminate(row: List[int], pivot_row: List[int], col: int) -> List[int]:
+def eliminate(row: Row, pivot_row: Row, col: int) -> Row:
     """p·row − a·pivot_row, p and a the entries at col over their gcd, divided
     by the gcd of its entries."""
     p, a = pivot_row[col], row[col]
     g = gcd(p, a)
-    new = [p // g * x - a // g * y for x, y in zip(row, pivot_row)]
-    g = gcd(*new)
-    return [x // g for x in new] if g > 1 else new
+    new = {c: p // g * row.get(c, 0) - a // g * pivot_row.get(c, 0) for c in row.keys() | pivot_row.keys()}
+    g = gcd(*new.values())
+    return {c: x // g for c, x in new.items() if x}
 
 
-def integer_rref(rows: Sequence[List[int]], n_cols: int) -> Tuple[List[List[int]], List[int]]:
+def integer_rref(rows: Iterable[Row], n_cols: int) -> Tuple[List[Row], List[int]]:
     """Fraction-free Gauss–Jordan elimination; returns (rows, pivot columns).
 
     Row r < len(pivots), divided by its entry at pivots[r], is row r of the
-    reduced row echelon form; the rows after them are zero.
+    reduced row echelon form; the rows after them are empty.
     """
-    m = [list(row) for row in rows]
+    m = [dict(row) for row in rows]
     n_rows = len(m)
     pivots: List[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
+        hits = [i for i, row in enumerate(m) if c in row]
+        pivot_row = next((i for i in hits if i >= r), None)
         if pivot_row is None:
             continue
+        for i in hits:
+            if i != pivot_row:
+                m[i] = eliminate(m[i], m[pivot_row], c)
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                m[i] = eliminate(m[i], m[r], c)
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -154,16 +156,16 @@ def integer_rref(rows: Sequence[List[int]], n_cols: int) -> Tuple[List[List[int]
     return m, pivots
 
 
-def integer_nullspace(rows: Sequence[List[int]], n_cols: int) -> Tuple[int, List[List[int]]]:
+def integer_nullspace(rows: Iterable[Row], n_cols: int) -> Tuple[int, List[List[int]]]:
     """(d, vectors): ``nullspace`` of the integer matrix, times d > 0."""
     m, pivots = integer_rref(rows, n_cols)
-    d = lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    d = lcm(*(row[c] for row, c in zip(m, pivots)))
     basis: List[List[int]] = []
     for fc in sorted(set(range(n_cols)) - set(pivots)):
         vec = [0] * n_cols
         vec[fc] = d
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc] * (d // m[r][pc])
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row.get(fc, 0) * (d // row[pc])
         basis.append(vec)
     return d, basis
 
@@ -174,7 +176,7 @@ def rref(matrix: RatMatrix) -> Tuple[List[List[Fraction]], List[int]]:
     The pivot rows come first, in pivot order, followed by the zero rows.
     """
     m, pivots = integer_rref(_integer_rows(matrix), matrix.n_cols)
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out = [[Fraction(row.get(c, 0), row[pc]) for c in range(matrix.n_cols)] for row, pc in zip(m, pivots)]
     out.extend([Fraction(0)] * matrix.n_cols for _ in m[len(pivots):])
     return out, pivots
 

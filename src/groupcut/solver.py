@@ -91,15 +91,14 @@ or left of it, a lifted row is zero up to its first nonzero δ entry, and
 the lift of the reduced echelon basis over δ is rref(E), that form of a
 row space being unique.  So the system is solved once, over δ:
 
-1. one ``integer_rref`` reduces the rows over γ;
-2. L[c] = A[t_c + 1] counts the classes of the steps up to t_c, numbered c
+1. L[c] = A[t_c + 1] counts the classes of the steps up to t_c, numbered c
    or lower with c once, so L is unit lower triangular, δ = L·γ, and back
-   substitution maps a row a over γ to a·L⁻¹ over δ;
-3. ``integer_nullspace`` of these rows with their columns reversed, read
-   back reversed and in reverse order, has d at each vector's free column,
-   zeros at the other free columns and its other entries to the right: it
-   is d times rref over δ;
-4. each vector is lifted in O(n), on its first read, so that a caller
+   substitution maps each raw row a over γ to a·L⁻¹ over δ;
+2. one ``integer_nullspace`` of these rows, sparse and with their columns
+   reversed, read back reversed and in reverse order, has d at each
+   vector's free column, zeros at the other free columns and its other
+   entries to the right: it is d times rref over δ;
+3. each vector is lifted in O(n), on its first read, so that a caller
    that reads only the first pays for one: γ(c) = δ(c) - e(t_c), where
    e(t_c) is e(t_{c-1}) plus the γ of the steps t_{c-1} .. t_c - 1, whose
    classes are below c, summed in one pass over those steps; one
@@ -120,7 +119,7 @@ from sys import byteorder
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .complex2d import _merge_intervals
-from .rational import integer_nullspace, integer_rref
+from .rational import integer_nullspace
 
 # Run encodings: ("h", j, lo, hi) covers pairs (i, j) for lo <= i <= hi;
 # ("v", i0, lo, hi) covers (i0, j) for lo <= j <= hi;
@@ -352,19 +351,18 @@ def perturbation_space(n: int, f_index: int, runs: Iterable[Run]) -> LiftedBasis
     rows = set(map(sub, map(add, map(at, us), map(at, vs)), map(at, ws)))
     rows.add(prefix[f])
     rows.add(prefix[n])  # periodicity: e(n) = e(0) = 0
-    reduced, pivots = integer_rref(sorted(map(unpack, rows)), n_classes)
 
     # Over δ = L·γ, L[c] = A[t_c + 1] unit lower triangular, a row a is a·L⁻¹;
     # its columns are reversed for the null space (see the module docstring).
     lower = [unpack(prefix[t]) for t in lower_at]
-    reversed_rows: List[List[int]] = []
-    for a in reduced[: len(pivots)]:
+    reversed_rows: List[Dict[int, int]] = []
+    for a in sorted(map(unpack, rows)):
         b = list(a)
         for c in range(n_classes - 1, 0, -1):
             x = b[c]
             if x:
                 b[:c] = [y - x * z for y, z in zip(b[:c], lower[c])]
-        reversed_rows.append(b[::-1])
+        reversed_rows.append({c: x for c, x in enumerate(b[::-1]) if x})
     d, vectors = integer_nullspace(reversed_rows, n_classes)
 
     # e(t_c) sums γ over the steps before t_c, whose classes are below c.

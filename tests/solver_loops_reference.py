@@ -15,8 +15,8 @@ from itertools import chain
 from operator import add, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from dense_kernel_reference import integer_nullspace, integer_rref
 from groupcut.complex2d import _merge_intervals
-from groupcut.rational import integer_nullspace, integer_rref
 from groupcut.solver import Run
 
 

@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, List, Sequence, Tuple
 
-from groupcut.rational import eliminate, integer_nullspace, integer_rref
+from dense_kernel_reference import eliminate, integer_nullspace, integer_rref
 from groupcut.solver import Run, _difference_classes
 
 

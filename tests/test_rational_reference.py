@@ -2,8 +2,10 @@
 
 ``rref``, ``rank`` and ``nullspace`` must be ``==`` to ``rational_reference``
 (rows, pivots, the zero-row tail and the element type) on derandomized
-draws of rational matrices, and on the matrices that the solver builds for
-convex combinations and finite restrictions.
+draws of rational matrices, and on the matrix that the solver hands to
+the kernel for convex combinations and finite restrictions.  The sparse
+kernel must equal the dense one of ``dense_kernel_reference`` entry for
+entry on the same draws scaled to integers.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_kernel_reference as dense
 import rational_reference as ref
 from groupcut import (
     PsiParams,
@@ -28,6 +31,7 @@ from groupcut import (
     rref,
 )
 from groupcut import solver
+from groupcut.rational import integer_nullspace, integer_rref, scale_to_integers
 
 F = Fraction
 F45 = F(4, 5)
@@ -92,6 +96,22 @@ def test_generated_matrices_match_reference(matrix):
     assert_matches_reference(matrix)
 
 
+@given(matrices())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_sparse_kernel_equals_the_dense_kernel(matrix):
+    # Each row scaled by the lcm of its denominators, as rref scales it.
+    rows, n_cols = [scale_to_integers(row)[0] for row in matrix.rows], matrix.n_cols
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    got, pivots = integer_rref(sparse, n_cols)
+    want, want_pivots = dense.integer_rref(rows, n_cols)
+    assert pivots == want_pivots
+    assert len(got) == len(want)
+    assert [[row.get(c, 0) for c in range(n_cols)] for row in got] == want
+    assert all(0 not in row.values() for row in got)
+    assert all(not row for row in got[len(pivots):])
+    assert integer_nullspace(sparse, n_cols) == dense.integer_nullspace(rows, n_cols)
+
+
 @pytest.mark.parametrize(
     "rows,n_cols",
     [
@@ -119,38 +139,30 @@ def _combinations():
 COMBOS = _combinations()
 
 
-def _solver_matrices(monkeypatch, call):
-    """The integer matrices that the solver hands to the kernel during call."""
+def _solver_matrix(monkeypatch, call):
+    """The one integer matrix that the solver hands to the kernel during
+    call, its sparse rows read densely."""
     seen = []
+    original = solver.integer_nullspace
 
-    def recording(name):
-        original = getattr(solver, name)
+    def wrapper(rows, n_cols):
+        rows = list(rows)
+        seen.append(RatMatrix([[row.get(c, 0) for c in range(n_cols)] for row in rows], n_cols=n_cols))
+        return original(rows, n_cols)
 
-        def wrapper(rows, n_cols):
-            seen.append(RatMatrix(rows, n_cols=n_cols))
-            return original(rows, n_cols)
-
-        monkeypatch.setattr(solver, name, wrapper)
-
-    recording("integer_nullspace")
-    recording("integer_rref")
+    monkeypatch.setattr(solver, "integer_nullspace", wrapper)
     call()
-    return seen
+    assert len(seen) == 1
+    return seen[0]
 
 
 @pytest.mark.parametrize("k", sorted(COMBOS))
 def test_solver_matrices_of_combinations_match_reference(monkeypatch, k):
-    seen = _solver_matrices(monkeypatch, lambda: extremality_test(COMBOS[k]))
-    assert len(seen) == 2
-    for matrix in seen:
-        assert_matches_reference(matrix)
+    assert_matches_reference(_solver_matrix(monkeypatch, lambda: extremality_test(COMBOS[k])))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_solver_matrices_of_finite_restrictions_match_reference(monkeypatch, k):
     fn = COMBOS[k]
     g = restrict_to_finite_group(fn, fn.denominator_lcm(), 3)
-    seen = _solver_matrices(monkeypatch, lambda: finite_extremality_test(g))
-    assert len(seen) == 2
-    for matrix in seen:
-        assert_matches_reference(matrix)
+    assert_matches_reference(_solver_matrix(monkeypatch, lambda: finite_extremality_test(g)))

@@ -2,9 +2,12 @@
 
 ``perturbation_space`` must be ``==`` to ``solver_tail_reference`` (the
 three-elimination tail) on the fixtures, on synthetic and derandomized run
-lists with extra pairs, and on the ½·gmic + ½·psi_1 midpoints at q = 51
-and q = 501.  At q = 1251 the verdict and certificate are pinned by a
-digest taken from the three-elimination solver, under a time budget.
+lists with extra pairs, on the ½·gmic + ½·psi_1 midpoints at q = 51
+and q = 501, and on finite restrictions whose rows over δ are dense or
+whose basis is large.  At q = 1251 the verdict and certificate are pinned
+by a digest taken from the three-elimination solver, under a time budget;
+the finite midpoint at q = 3,000 by one taken from the solver that reduced
+its rows over γ before it solved over δ.
 """
 
 import hashlib
@@ -21,13 +24,18 @@ from groupcut import (
     PsiParams,
     affine_combine,
     extremality_test,
+    finite_extremality_test,
     generate_eps,
     gmic,
     psi_stages,
+    restrict_to_finite_group,
 )
+from groupcut.finite import _additive_runs
 from groupcut.serialize import certificate_json, dumps, extremality_verdict_json
 from groupcut.solver import _difference_classes, perturbation_space
+from test_least_ratio import midpoint_restriction
 from test_solver_reference import CASES, FIXTURES, SYNTHETIC, pair_runs, run_lists, solver_input
+from test_tight_runs import certificate_digest, third_combination
 
 F = Fraction
 
@@ -74,6 +82,21 @@ def test_midpoint_matches_tail(q, num):
     assert len(basis) == 3 * q // 10
 
 
+@pytest.mark.parametrize(
+    "build,dimension",
+    [
+        # Its rows over δ hold up to 7 nonzeros in 30 columns.
+        (lambda: restrict_to_finite_group(third_combination(3), 240), 14),
+        (lambda: midpoint_restriction(1000), 100),
+    ],
+    ids=["third-k3-240", "midpoint-1000"],
+)
+def test_finite_restriction_matches_tail(build, dimension):
+    g = build()
+    basis = assert_same_as_tail(g.q, g.f_index, _additive_runs(g._integers[0]))
+    assert len(basis) == dimension
+
+
 def test_last_class_first_met_at_the_last_step():
     # Shift 2 over [0, 3) unites {0, 2, 4} and {1, 3}; steps 5, 6 and 7 are
     # classes of their own, the last first met at step n - 1 = 7.
@@ -103,3 +126,14 @@ def test_midpoint_1251_digest_within_budget():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MIDPOINT_1251_SHA256
     assert verdict.grid_n == 3753 and verdict.basis_dimension == 375
     assert elapsed < 10, f"took {elapsed:.1f} s"
+
+
+# ``certificate_digest`` of the finite midpoint at q = 3,000, the bound
+# of the finite scans, from the solver that reduced its rows over γ first.
+FINITE_MIDPOINT_3000_SHA256 = "4e0d60b572db534540dbad6ca3056b44f96b4fb0a5b4653716818f5425947706"
+
+
+def test_finite_midpoint_3000_digest():
+    verdict = finite_extremality_test(midpoint_restriction(3000))
+    assert verdict.basis_dimension == 300
+    assert certificate_digest(verdict) == FINITE_MIDPOINT_3000_SHA256
