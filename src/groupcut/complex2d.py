@@ -25,8 +25,9 @@ build only the faces they return.  Each face keeps its integers, its sorted vert
 q, and builds its Fraction fields on first read through one memoizing
 unscaler that the whole enumeration shares; dividing by q > 0 keeps every
 order the kernel sorts by.  One evaluator, ``_scaled_pi``, reads π at the
-scaled coordinates over one denominator: its value, and at a breakpoint
-its two one-sided limits.  Δπ at the vertices and every limit of Δπ along
+scaled coordinates from the integer form that ``pwl`` fills once per
+function, over one denominator: its value, and at a breakpoint its two
+one-sided limits.  Δπ at the vertices and every limit of Δπ along
 a face read it, each side taken from the face's integer projections: the
 minimality test and the additivity classification build no Fraction but
 a witness's.  The drawing ring is rebuilt from the sorted vertices, and
@@ -44,8 +45,7 @@ from itertools import compress, repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .pwl import PwlPeriodic, _Record
-from .rational import scale_to_integers
+from .pwl import IntTriple, PwlPeriodic, _Record, _scaled_limits
 
 Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction]
@@ -53,7 +53,6 @@ Interval = Tuple[Fraction, Fraction]
 IntPoint = Tuple[int, int]
 IntInterval = Tuple[int, int]
 _Projections = Tuple[int, int, int, int, int, int]
-Triple = Tuple[int, int, int]  # d·(left limit, value, right limit) of π at a scaled coordinate
 
 
 class _Scaled:
@@ -426,33 +425,10 @@ def scaled_vertices(*fns: PwlPeriodic) -> Tuple[int, List[IntPoint]]:
     return n, sorted(verts)
 
 
-def _scaled_pi(fn: PwlPeriodic, n: int, points: Iterable[IntPoint]) -> Tuple[Dict[int, Triple], int]:
-    """(lim, d): lim[t] = d·(left limit, value, right limit) of π at t/n for
-    each t among x, y and x + y (mod n) of the scaled points in [0, n)², as
-    integers over one common denominator d > 0.  n must be a multiple of
-    ``fn.denominator_lcm()``.
-
-    fn is evaluated once per distinct coordinate t, never on the whole grid:
-    on the piece [b, b′) the value at t/n is c + m·t for rationals c and m,
-    so with every c, m and breakpoint value over d, the value at t is the
-    integer c·d + m·d·t.  At t/n = b it is the value stored at b, the right
-    limit is the line of [b, b′) at t, and the left limit the line of the
-    piece before, read at n for b = 0: the limit from below at 1.  Off the
-    breakpoints π is continuous, and all three are the value.
-    """
-    pts = [_scale(b, n) for b in fn.breakpoints]
-    starts = [r - s * b for b, (_, _, r), s in zip(fn.breakpoints, fn.limits, fn.slopes)]
-    steps = [s / n for s in fn.slopes]
-    ats = [v for _, v, _ in fn.limits]
-    k = len(pts)
-    ints, d = scale_to_integers(starts + steps + ats)
-    starts, steps, ats = ints[:k], ints[k : 2 * k], ints[2 * k :]
-    lim: Dict[int, Triple] = {}
-    for t in {t for x, y in points for t in (x, y, (x + y) % n)}:
-        i = bisect_right(pts, t) - 1
-        v = starts[i] + steps[i] * t
-        lim[t] = (starts[i - 1] + steps[i - 1] * (t or n), ats[i], v) if pts[i] == t else (v, v, v)
-    return lim, d
+def _scaled_pi(fn: PwlPeriodic, n: int, points: Iterable[IntPoint]) -> Tuple[Dict[int, IntTriple], int]:
+    """``pwl._scaled_limits`` of fn at each t among x, y and x + y (mod n)
+    of the scaled points in [0, n)², n a multiple of ``fn.denominator_lcm()``."""
+    return _scaled_limits(fn, n, {t for x, y in points for t in (x, y, (x + y) % n)})
 
 
 def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[List[int], int]:
@@ -462,13 +438,13 @@ def scaled_slacks(fn: PwlPeriodic, n: int, verts: Sequence[IntPoint]) -> Tuple[L
     return _vertex_slacks(lim, n, verts), d
 
 
-def _vertex_slacks(lim: Dict[int, Triple], n: int, verts: Sequence[IntPoint]) -> List[int]:
+def _vertex_slacks(lim: Dict[int, IntTriple], n: int, verts: Sequence[IntPoint]) -> List[int]:
     """d·Δπ at each scaled vertex (x, y) of ``verts``, from the values of
     ``lim`` at scale n (``_scaled_pi``)."""
     return [lim[x][1] + lim[y][1] - lim[(x + y) % n][1] for x, y in verts]
 
 
-def _face_limits(lim: Dict[int, Triple], n: int, sv: Sequence[IntPoint], points=None) -> List[int]:
+def _face_limits(lim: Dict[int, IntTriple], n: int, sv: Sequence[IntPoint], points=None) -> List[int]:
     """d·the limit of Δπ from the relative interior of a face at each
     scaled point, by default at each of its sorted vertices sv, all scaled
     by n; ``lim`` and d are those of ``_scaled_pi`` at scale n.

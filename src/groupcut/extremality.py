@@ -13,13 +13,11 @@ interpolated perturbation and an exact ε with both endpoints minimal.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .complex2d import (
     AdditivityReport,
-    Triple,
     _additive_face_runs,
-    _scale,
     _scaled_pi,
     _vertex_slacks,
     additivity_report,
@@ -27,7 +25,7 @@ from .complex2d import (
 )
 from .minimality import minimality_test, with_f_breakpoint
 from .pwl import MAX_GRID_N  # noqa: F401 -- re-exported as extremality.MAX_GRID_N
-from .pwl import PwlPeriodic, _Record, check_grid_size, interpolate_grid
+from .pwl import PwlPeriodic, _Record, affine_combine, check_grid_size, interpolate_grid
 from .rational import least_ratio
 from .solver import Run, perturbation_space
 
@@ -114,11 +112,6 @@ def interpolate_perturbation(vector: Sequence[Fraction], grid_n: int, f) -> PwlP
     return interpolate_grid(vector, grid_n, f)
 
 
-# n, and the integer readings (lim, d) of ``_scaled_pi`` at scale n of the
-# function and of the perturbation.
-_Readings = Tuple[int, Tuple[Dict[int, Triple], int], Tuple[Dict[int, Triple], int]]
-
-
 def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     """Largest ε with Δ(fn ± ε·perturbation) >= 0 wherever Δ(perturbation) ≠ 0,
     for continuous fn and perturbation and a subadditive fn.
@@ -135,59 +128,27 @@ def epsilon_ratio_test(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Fraction:
     face, where it is affine, and it would be continuous and additive on
     R/Z, hence 0.
     """
-    return _epsilon_readings(fn, perturbation)[0]
-
-
-def _epsilon_readings(fn: PwlPeriodic, perturbation: PwlPeriodic) -> Tuple[Fraction, _Readings]:
-    """The ε of ``epsilon_ratio_test`` and the readings it took.  They hold
-    both functions at every breakpoint of either: b scaled by n is x of the
-    vertex (b, b)."""
     if not (fn.is_continuous() and perturbation.is_continuous()):
         raise ValueError("epsilon ratio test supports continuous functions only")
     if not any(v for _, v, _ in perturbation.limits):
         raise ValueError("perturbation is identically zero")
     n, verts = scaled_vertices(fn, perturbation)
     verts = [(x, y) for x, y in verts if x <= y]
-    (lim, dv), (lim_b, db) = readings = _scaled_pi(fn, n, verts), _scaled_pi(perturbation, n, verts)
+    (lim, dv), (lim_b, db) = _scaled_pi(fn, n, verts), _scaled_pi(perturbation, n, verts)
     slacks = _vertex_slacks(lim, n, verts)
     best_s, best_d = least_ratio(zip(slacks, _vertex_slacks(lim_b, n, verts)))
     # least_ratio refused every slack <= 0 where Δb ≠ 0.
     if min(slacks) < 0:
         raise ValueError("epsilon ratio test requires a subadditive function")
     # The ratio at a vertex is (slack/dv) / (|Δb|/db).
-    return Fraction(best_s * db, dv * best_d), (n, *readings)
-
-
-def _endpoints(fn: PwlPeriodic, bar: PwlPeriodic, eps: Fraction, readings: _Readings) -> List[PwlPeriodic]:
-    """[π + ε·bar, π − ε·bar] for continuous π = fn, ``==`` and canonical as
-    ``affine_combine(1, fn, ±eps, bar)``, from ε's integer readings at the
-    merged breakpoints, with one Fraction per value.  At t = n·b, π is
-    lim[t]/dv and bar is lim_b[t]/db, so with ε = a/c the value is
-    (lim[t]·c·db ± a·lim_b[t]·dv) / (dv·c·db).  A breakpoint other than 0
-    is kept where the slope changes, compared by integer cross products."""
-    n, (lim, dv), (lim_b, db) = readings
-    at = {_scale(b, n): b for g in (fn, bar) for b in g.breakpoints}
-    ts = sorted(at)
-    a, c = eps.numerator, eps.denominator
-    pi_scale, bar_scale, d = c * db, a * dv, dv * c * db
-    xs = ts + [n]
-    out = []
-    for signed_scale in (bar_scale, -bar_scale):
-        vs = [lim[t][1] * pi_scale + signed_scale * lim_b[t][1] for t in ts]
-        vs.append(vs[0])
-        keep = [0] + [
-            i
-            for i in range(1, len(ts))
-            if (vs[i] - vs[i - 1]) * (xs[i + 1] - xs[i]) != (vs[i + 1] - vs[i]) * (xs[i] - xs[i - 1])
-        ]
-        out.append(PwlPeriodic(fn.f, [at[ts[i]] for i in keep], [(Fraction(vs[i], d),) * 3 for i in keep]))
-    return out
+    return Fraction(best_s * db, dv * best_d)
 
 
 def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdict:
     """Decide extremality; non-extreme functions come with a certificate.
 
-    Its endpoints π± = π ± ε·bar are minimal for the ε of ``epsilon_ratio_test``:
+    Its endpoints π± = ``affine_combine(1, π, ±ε, bar)`` are minimal for the ε
+    of ``epsilon_ratio_test``:
     Δπ± >= 0 at the vertices of the common complex, so everywhere; bar(0) =
     bar(f) = 0 and bar is additive on the symmetry line, as π is; and
     0 = π±(k·x) <= k·π±(x) for x in (1/k)Z.  A failed re-check raises.
@@ -205,8 +166,8 @@ def extremality_test(fn: PwlPeriodic, oversampling: int = 3) -> ExtremalityVerdi
     # perturbation_space returns its basis in reduced row echelon form, and
     # lifts only the vectors read: here the first.
     bar = interpolate_perturbation(basis[0], n, fn_b.f)
-    eps, readings = _epsilon_readings(fn_b, bar)
-    pi_plus, pi_minus = _endpoints(fn_b, bar, eps, readings)
+    eps = epsilon_ratio_test(fn_b, bar)
+    pi_plus, pi_minus = affine_combine(1, fn_b, eps, bar), affine_combine(1, fn_b, -eps, bar)
     if not (minimality_test(pi_plus).minimal and minimality_test(pi_minus).minimal):
         raise RuntimeError("could not validate a perturbation certificate")
     # Normalize so the certified interval is fn ± 1 * perturbation;

@@ -15,11 +15,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .rational import scale_to_integers
 
 Triple = Tuple[Fraction, Fraction, Fraction]
+IntTriple = Tuple[int, int, int]
 
 _SIDES = LEFT, AT, RIGHT = "left", "at", "right"
 
@@ -27,7 +28,7 @@ _SIDES = LEFT, AT, RIGHT = "left", "at", "right"
 class PwlPeriodic:
     """Immutable Z-periodic piecewise linear function."""
 
-    __slots__ = ("f", "breakpoints", "limits", "_slopes")
+    __slots__ = ("f", "breakpoints", "limits", "_slopes", "_form")
 
     def __init__(self, f, breakpoints: Sequence, limits: Sequence):
         f = Fraction(f)
@@ -47,7 +48,7 @@ class PwlPeriodic:
         self.f = f
         self.breakpoints = bkpts
         self.limits = trips
-        self._slopes = None
+        self._slopes = self._form = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -65,6 +66,19 @@ class PwlPeriodic:
                 out.append((y1 - y0) / (x1 - x0))
             self._slopes = tuple(out)
         return self._slopes
+
+    def _integer_form(self) -> tuple:
+        """(q, pts, starts, steps, ats, d), filled on first read: q =
+        ``denominator_lcm()``, pts the breakpoints times q, and over one
+        denominator d > 0 the line d·π(t/q) = starts[i] + steps[i]·t of each
+        piece [pts[i], pts[i + 1]) and d·π at its breakpoint, ats[i]."""
+        if self._form is None:
+            q, k = self.denominator_lcm(), len(self.breakpoints)
+            starts = [r - s * b for b, (_, _, r), s in zip(self.breakpoints, self.limits, self.slopes)]
+            ints, d = scale_to_integers(starts + [s / q for s in self.slopes] + [v for _, v, _ in self.limits])
+            pts = [b.numerator * (q // b.denominator) for b in self.breakpoints]
+            self._form = q, pts, ints[:k], ints[k : 2 * k], ints[2 * k :], d
+        return self._form
 
     def is_continuous(self) -> bool:
         return all(l == v == r for (l, v, r) in self.limits)
@@ -211,20 +225,65 @@ def grid_values(fn: PwlPeriodic, n: int) -> List[Fraction]:
     return out
 
 
-def _merged_breakpoints(*fns: PwlPeriodic) -> List[Fraction]:
-    return sorted({b for fn in fns for b in fn.breakpoints})
+def _scaled_limits(fn: PwlPeriodic, n: int, ts: Iterable[int]) -> Tuple[Dict[int, IntTriple], int]:
+    """(lim, D): lim[t] = D·(left limit, value, right limit) of fn at t/n for
+    each t in [0, n) of ts, as integers over D > 0, read from the integer
+    form at n = m·q, a multiple of ``fn.denominator_lcm()``.
+
+    fn is evaluated once per coordinate t, never on the whole grid: the
+    value at t/n on the piece from b is (starts·m + steps·t) / (d·m), and
+    at t/n = b it is the value stored at b, the right limit is the line of
+    that piece at t, and the left limit the line of the piece before, read
+    at n for b = 0: the limit from below at 1.  Off the breakpoints fn is
+    continuous, and all three are the value.
+    """
+    q, pts, starts, steps, ats, d = fn._integer_form()
+    m = n // q
+    if m != 1:
+        pts, starts, ats = ([c * m for c in v] for v in (pts, starts, ats))
+    lim: Dict[int, IntTriple] = {}
+    for t in ts:
+        i = bisect_right(pts, t) - 1
+        v = starts[i] + steps[i] * t
+        lim[t] = (starts[i - 1] + steps[i - 1] * (t or n), ats[i], v) if pts[i] == t else (v, v, v)
+    return lim, d * m
+
+
+def _merged_limits(fn1: PwlPeriodic, fn2: PwlPeriodic) -> tuple:
+    """(n, ts, (lim1, D1), (lim2, D2)): n the lcm of the two ``q``, ts the
+    sorted union of the breakpoints scaled by n, and each function's
+    ``_scaled_limits`` there."""
+    (q1, pts1, *_), (q2, pts2, *_) = fn1._integer_form(), fn2._integer_form()
+    n = lcm(q1, q2)
+    ts = sorted({*(p * (n // q1) for p in pts1), *(p * (n // q2) for p in pts2)})
+    return n, ts, _scaled_limits(fn1, n, ts), _scaled_limits(fn2, n, ts)
 
 
 def affine_combine(a, fn1: PwlPeriodic, b, fn2: PwlPeriodic) -> PwlPeriodic:
-    """a*fn1 + b*fn2 on the merged breakpoint set (requires equal f)."""
+    """a*fn1 + b*fn2 on the merged breakpoint set (requires equal f), in
+    canonical form.
+
+    Both functions are read in integers at the merged breakpoints, and
+    a·u + b·v is one integer over one common denominator.  Breakpoint 0 is
+    kept, and each other one with a jump or a change of slope, compared by
+    integer cross products.
+    """
     if fn1.f != fn2.f:
         raise ValueError(f"cannot combine functions with f={fn1.f} and f={fn2.f}")
     a, b = Fraction(a), Fraction(b)
-    bkpts = _merged_breakpoints(fn1, fn2)
-    trips = [
-        tuple(a * u + b * v for u, v in zip(fn1.limits_at(x), fn2.limits_at(x))) for x in bkpts
+    n, ts, (lim1, d1), (lim2, d2) = _merged_limits(fn1, fn2)
+    s1, s2 = a.numerator * b.denominator * d2, b.numerator * a.denominator * d1
+    d = a.denominator * b.denominator * d1 * d2
+    trips = [tuple(s1 * u + s2 * v for u, v in zip(lim1[t], lim2[t])) for t in ts]
+    # The piece from the last breakpoint ends at n, where the left limit is that at 0.
+    xs, ys = ts + [n], trips + trips[:1]
+    keep = [0] + [
+        i
+        for i in range(1, len(ts))
+        if not ys[i][0] == ys[i][1] == ys[i][2]
+        or (ys[i][0] - ys[i - 1][2]) * (xs[i + 1] - xs[i]) != (ys[i + 1][0] - ys[i][2]) * (xs[i] - xs[i - 1])
     ]
-    return PwlPeriodic(fn1.f, bkpts, trips).canonicalize()
+    return PwlPeriodic(fn1.f, [Fraction(ts[i], n) for i in keep], [[Fraction(c, d) for c in trips[i]] for i in keep])
 
 
 def precompose_scale(fn: PwlPeriodic, lam: int) -> PwlPeriodic:
@@ -403,9 +462,7 @@ def slope_report(fn: PwlPeriodic) -> SlopeReport:
 
 
 def sup_norm_distance(fn1: PwlPeriodic, fn2: PwlPeriodic) -> Fraction:
-    """Exact sup norm of fn1 - fn2 (values and one-sided limits)."""
-    return max(
-        abs(u - v)
-        for x in _merged_breakpoints(fn1, fn2)
-        for u, v in zip(fn1.limits_at(x), fn2.limits_at(x))
-    )
+    """Exact sup norm of fn1 - fn2 (values and one-sided limits), read in
+    integers at the merged breakpoints."""
+    _, ts, (lim1, d1), (lim2, d2) = _merged_limits(fn1, fn2)
+    return Fraction(max(abs(u * d2 - v * d1) for t in ts for u, v in zip(lim1[t], lim2[t])), d1 * d2)

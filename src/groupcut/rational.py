@@ -31,8 +31,8 @@ Row = Dict[int, int]
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
-# Dense elimination beyond this many entries would exhaust memory long before
-# it finished; fail with a clear message instead.
+# The bounds of a RatMatrix, whose rows are dense lists of Fractions: storing
+# more entries would exhaust memory, so it fails with a clear message instead.
 _MAX_ENTRIES = 40_000_000
 _MAX_COLS = 20_000
 

@@ -1,29 +1,26 @@
-"""The certificate's endpoints come from the integer readings of ε.
+"""The certificate's endpoints are ``affine_combine(1, π, ±ε, bar)``.
 
-``extremality_test`` builds π ± ε·bar at the merged breakpoints from the
-values that ``extremality._epsilon_readings`` read for ε, one Fraction per
-value, and keeps a breakpoint where the slope changes.  Each endpoint must
-be ``affine_combine(1, π, ±ε, bar)`` field for field (the same canonical
-breakpoints and limit triples, so the same repr and JSON), and ε must be
-that of ``epsilon_ratio_test`` and of the reference scan, on the
-non-extreme fixtures and on generated λ·gmic + (1−λ)·psi_k.  On generated
-pairs of continuous functions, whose sums drop and keep breakpoints of
-either, ``_endpoints`` must be ``affine_combine`` for any ε.
+Each endpoint of an ``extremality_test`` certificate must be the Fraction
+oracle ``pwl_reference.affine_combine(1, π, ±ε, bar)`` field for field (the
+same canonical breakpoints and limit triples, so the same repr and JSON),
+with ε that of the reference scan, and ``epsilon_ratio_test`` must read the
+same ε, on the non-extreme fixtures and on generated λ·gmic + (1−λ)·psi_k.
+On generated pairs of continuous functions, whose sums drop and keep
+breakpoints of either, ``affine_combine(1, a, ±ε, b)`` must be the oracle's
+for any ε.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certificate_reference as ref
+import pwl_reference
 from groupcut import (
     affine_combine,
-    complex2d,
     epsilon_ratio_test,
-    extremality,
     extremality_test,
     gmic,
     interpolate_perturbation,
@@ -42,23 +39,20 @@ def assert_same_function(got, want):
     assert repr(got) == repr(want)
 
 
-def assert_endpoints_from_readings(fn):
+def assert_endpoints_are_combinations(fn):
     fn_b = with_f_breakpoint(fn.canonicalize())
     basis = perturbation_space_basis(fn_b)
     bar = interpolate_perturbation(basis.vectors[0], basis.grid_n, fn_b.f)
-    eps, readings = extremality._epsilon_readings(fn_b, bar)
-    assert eps == epsilon_ratio_test(fn_b, bar) == ref.epsilon_ratio_test(fn_b, bar)
-    plus, minus = extremality._endpoints(fn_b, bar, eps, readings)
-    assert_same_function(plus, affine_combine(1, fn_b, eps, bar))
-    assert_same_function(minus, affine_combine(1, fn_b, -eps, bar))
+    eps = ref.epsilon_ratio_test(fn_b, bar)
+    assert epsilon_ratio_test(fn_b, bar) == eps
     cert = extremality_test(fn).certificate
-    assert_same_function(cert.pi_plus, plus)
-    assert_same_function(cert.pi_minus, minus)
+    assert_same_function(cert.pi_plus, pwl_reference.affine_combine(1, fn_b, eps, bar))
+    assert_same_function(cert.pi_minus, pwl_reference.affine_combine(1, fn_b, -eps, bar))
 
 
 @pytest.mark.parametrize("name", NOT_EXTREME)
 def test_fixtures(name):
-    assert_endpoints_from_readings(FIXTURES[name])
+    assert_endpoints_are_combinations(FIXTURES[name])
 
 
 @given(
@@ -68,14 +62,7 @@ def test_fixtures(name):
 )
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_generated_combinations(f, k, lam):
-    assert_endpoints_from_readings(affine_combine(lam, gmic(f), 1 - lam, stages(f, k)[k]))
-
-
-def readings(fn, bar):
-    """The readings of ``_epsilon_readings`` at the merged breakpoints."""
-    n = lcm(fn.denominator_lcm(), bar.denominator_lcm())
-    pts = [(t, t) for t in sorted({complex2d._scale(b, n) for g in (fn, bar) for b in g.breakpoints})]
-    return n, complex2d._scaled_pi(fn, n, pts), complex2d._scaled_pi(bar, n, pts)
+    assert_endpoints_are_combinations(affine_combine(lam, gmic(f), 1 - lam, stages(f, k)[k]))
 
 
 @st.composite
@@ -97,7 +84,7 @@ def test_endpoints_are_affine_combine_on_any_pair(fn, g, eps):
     # bar = (g - fn)/eps, so fn + eps·bar = g: fn's own breakpoints drop
     # where g has none, and the slope tests meet cancellations.
     bar = affine_combine(1 / eps, g, -1 / eps, fn)
+    assert_same_function(bar, pwl_reference.affine_combine(1 / eps, g, -1 / eps, fn))
     for a, b in ((fn, bar), (fn, g)):
-        plus, minus = extremality._endpoints(a, b, eps, readings(a, b))
-        assert_same_function(plus, affine_combine(1, a, eps, b))
-        assert_same_function(minus, affine_combine(1, a, -eps, b))
+        for e in (eps, -eps):
+            assert_same_function(affine_combine(1, a, e, b), pwl_reference.affine_combine(1, a, e, b))

@@ -1,7 +1,8 @@
 """Limits of Δπ along the faces, read in integers from the one evaluator
-``complex2d._scaled_pi``, against the Fraction route of
-``complex2d_reference.delta_pi_limit`` (``PwlPeriodic.limit`` at the side
-that ``_side`` reads off the face's Fraction projections).
+``pwl._scaled_limits`` (through ``complex2d._scaled_pi``), against the
+Fraction route of ``complex2d_reference.delta_pi_limit``
+(``PwlPeriodic.limit`` at the side that ``_side`` reads off the face's
+Fraction projections).
 
 ``delta_pi_limit`` must be ``==`` to it at every vertex of every face and at
 the midpoint of every edge of a face, on fixtures with and without jumps and

@@ -3,9 +3,10 @@
 
 Point reads must be equal, and every built function must have the same
 ``f``, ``breakpoints`` and ``limits`` field for field, not merely be ``==``
-after canonicalization.  Inputs: the fixtures, derandomized draws of
-functions with jumps, scale factors ±1 to ±4, and inner maps with constant
-pieces and slope-sign changes.
+after canonicalization; fn − fn is the constant 0 with breakpoint 0 only.
+Inputs: the fixtures and their pairs, derandomized draws of functions with jumps, scale
+factors ±1 to ±4, and inner maps with constant pieces and slope-sign
+changes.
 """
 
 from fractions import Fraction
@@ -91,8 +92,11 @@ def assert_same_reads(fn):
 def assert_same_builds(fn, other):
     """Every build that reads fn, with other (same f) as second argument."""
     assert_identical(with_f_breakpoint(fn), ref.with_f_breakpoint(fn))
-    for a, b in ((1, 0), (F(1, 3), F(2, 3)), (F(-1, 2), 2)):
+    for a, b in ((1, 0), (0, 1), (F(1, 3), F(2, 3)), (F(-1, 2), 2)):
         assert_identical(affine_combine(a, fn, b, other), ref.affine_combine(a, fn, b, other))
+    zero = affine_combine(1, fn, -1, fn)
+    assert_identical(zero, ref.affine_combine(1, fn, -1, fn))
+    assert (zero.breakpoints, zero.limits) == ((0,), ((0, 0, 0),))
     assert sup_norm_distance(fn, other) == ref.sup_norm_distance(fn, other)
     for lam in SCALES:
         image = precompose_scale(fn, lam)
@@ -105,6 +109,17 @@ def test_fixtures(name):
     fn = FIXTURES[name]
     assert_same_reads(fn)
     assert_same_builds(fn, reflect(with_f_breakpoint(fn)))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pairs_of_fixtures(name):
+    # Unlike fn and its reflection, two fixtures read over different scales
+    # and denominators.
+    fn, a, b = FIXTURES[name], F(1, 3), F(-2, 7)
+    for other in FIXTURES.values():
+        assert sup_norm_distance(fn, other) == ref.sup_norm_distance(fn, other)
+        if other.f == fn.f:
+            assert_identical(affine_combine(a, fn, b, other), ref.affine_combine(a, fn, b, other))
 
 
 @pytest.mark.parametrize("name", ["gmic", "jump_combo_k1"])
